@@ -383,8 +383,9 @@ class IGeo7Grid:
         actor __init__ so batches never pay the build."""
         return self.bridge.ensure_tables()
 
-    _CHUNK = 32768  # amortizes the per-chunk slow-path fixed costs; the
-                    # planar kernel's per-point temporaries stay small
+    _CHUNK = 32768  # points per flat.encode call: bounds the planar
+                    # kernel's per-point temporaries (its fan competition
+                    # is one call per block, with no per-face fixed cost)
 
     def encode(self, lon, lat, res: int, beam: int | None = None) -> np.ndarray:
         """Vectorized geo -> Z7 int64 at resolution `res` (exact nearest

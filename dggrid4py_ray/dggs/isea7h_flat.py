@@ -28,6 +28,8 @@ from .sphere import lonlat_to_unit, unit_to_lonlat
 
 _OFF = np.int64(1 << 26)  # a/b offset so packed values stay positive
 _MASK = (np.int64(1) << 27) - 1
+_FAN_BLOCK = 4096  # risky points per fan competition: bounds the
+                   # (block x n_fan) candidate temporaries
 
 # omega = e^{i pi/3}
 _OMEGA = complex(0.5, np.sqrt(3.0) / 2.0)
@@ -135,8 +137,10 @@ class ISEA7HFlatGrid:
         return self.planar_assign(face, x, y, res, risk_margin=risk_margin)
 
     def _fan_maps(self):
-        """face -> [(neighbor_face, alpha, beta)]: unfold transforms to every
-        edge- or vertex-sharing chart (built once)."""
+        """(neighbor_face, alpha, beta), each shaped (20, n_fan): the unfold
+        transforms z -> alpha * z + beta from each face's chart to every
+        edge- or vertex-sharing chart, neighbours in ascending face order
+        (built once)."""
         fans = getattr(self, "_fans", None)
         if fans is not None:
             return fans
@@ -145,48 +149,47 @@ class ISEA7HFlatGrid:
         br.g = self
         br._unfolds = None
         ic = self.proj.icosa
-        fans = {}
-        for f in range(20):
-            vs = set(ic.face_vertices[f])
-            lst = []
-            for f2 in range(20):
-                if f2 != f and vs & set(ic.face_vertices[f2]):
-                    alpha, beta = br._chart_transform(f, f2)
-                    lst.append((f2, alpha, beta))
-            fans[f] = lst
-        self._fans = fans
-        return fans
+        nb = np.array([[f2 for f2 in range(20) if f2 != f and
+                        set(ic.face_vertices[f]) & set(ic.face_vertices[f2])]
+                       for f in range(20)], dtype=np.int64)
+        ab = np.array([[br._chart_transform(f, int(f2)) for f2 in row]
+                       for f, row in enumerate(nb)], dtype=np.complex128)
+        self._fans = (nb, ab[..., 0], ab[..., 1])
+        return self._fans
 
     def planar_assign(self, face: np.ndarray, x: np.ndarray, y: np.ndarray,
                       res: int, risk_margin: float = 2.0) -> np.ndarray:
         """Planar-nearest canonical cell for plane points given in chart
         `face`; near edges/corners, candidates from every fan chart compete
         by their own in-chart planar distance (points carried across by the
-        exact unfold maps)."""
+        exact unfold maps).
+
+        All fan candidates of a block of risky points are rounded in one
+        call, then folded column by column in neighbour order with the
+        same tolerance/lower-id tie rule as ``_round_in_chart``."""
         best_id, best_d2 = self._round_in_chart(face, x, y, res)
         l0, l1, l2 = self._bary(x, y)
         side = 7.0 ** (res / 2.0)
         margin_units = np.minimum(np.minimum(l0, l1), l2) * side * (np.sqrt(3.0) / 2.0)
-        risky = margin_units < risk_margin
-        if risky.any():
-            fans = self._fan_maps()
-            ridx = np.nonzero(risky)[0]
-            z = x[ridx] + 1j * y[ridx]
+        ridx_all = np.flatnonzero(margin_units < risk_margin)
+        nb, alpha, beta = self._fan_maps()
+        for s in range(0, len(ridx_all), _FAN_BLOCK):
+            ridx = ridx_all[s:s + _FAN_BLOCK]
             fr = face[ridx]
-            for fa in np.unique(fr):
-                m = fr == fa
-                gi = ridx[m]
-                zm = z[m]
-                for fb, alpha, beta in fans[int(fa)]:
-                    zz = alpha * zm + beta
-                    ids2, d2 = self._round_in_chart(
-                        np.full(len(zm), fb, dtype=np.int64),
-                        np.real(zz), np.imag(zz), res)
-                    upd = (d2 < best_d2[gi] - 1e-12) | (
-                        (np.abs(d2 - best_d2[gi]) <= 1e-12) & (ids2 < best_id[gi]))
-                    ui = gi[upd]
-                    best_d2[ui] = d2[upd]
-                    best_id[ui] = ids2[upd]
+            zz = alpha[fr] * (x[ridx] + 1j * y[ridx])[:, None] + beta[fr]
+            ids2, d2 = self._round_in_chart(nb[fr].ravel(), np.real(zz).ravel(),
+                                            np.imag(zz).ravel(), res)
+            ids2 = ids2.reshape(zz.shape)
+            d2 = d2.reshape(zz.shape)
+            bi = best_id[ridx]
+            bd = best_d2[ridx]
+            for j in range(zz.shape[1]):
+                dj = d2[:, j]
+                ij = ids2[:, j]
+                upd = (dj < bd - 1e-12) | ((np.abs(dj - bd) <= 1e-12) & (ij < bi))
+                bd = np.where(upd, dj, bd)
+                bi = np.where(upd, ij, bi)
+            best_id[ridx] = bi
         return best_id
 
     def parent_cell(self, ids: np.ndarray, res: int) -> np.ndarray:

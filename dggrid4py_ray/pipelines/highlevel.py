@@ -322,8 +322,6 @@ def _polyfill(dggs: Dggs, clip: PolygonSet | None, output_address_type: str = "Z
         ds = ds.map_batches(AddressTransformer(dggs, "Z7", output_address_type,
                                                in_col="cell_id"),
                             batch_format="pyarrow")
-    if not keep_state:
-        pass  # state columns dropped by callers via select_columns
     return ds
 
 

@@ -110,11 +110,12 @@ def explode_spans(ds: ray.data.Dataset, spans_col: str = "spans") -> ray.data.Da
         struct, offsets = _spans_struct(batch, spans_col)
         counts = np.diff(offsets)
         doc = batch["doc_id"].to_numpy(zero_copy_only=False)
+        doc_t = batch.schema.field("doc_id").type
         doc_rep = np.repeat(doc, counts)
         span_idx = (np.arange(len(struct), dtype=np.int64)
                     - np.repeat(offsets[:-1], counts))
         out = pa.table({
-            "doc_id": pa.array(doc_rep, type=pa.string()),
+            "doc_id": pa.array(doc_rep, type=doc_t),
             "span_idx": pa.array(span_idx, type=pa.int32()),
             "kind": struct.field("kind"),
             "text": struct.field("text"),
@@ -128,7 +129,7 @@ def explode_spans(ds: ray.data.Dataset, spans_col: str = "spans") -> ray.data.Da
         if len(empty):
             n = len(empty)
             marker = pa.table({
-                "doc_id": pa.array(doc[empty], type=pa.string()),
+                "doc_id": pa.array(doc[empty], type=doc_t),
                 "span_idx": pa.array(np.full(n, -1, np.int32)),
                 "kind": pa.nulls(n, pa.string()),
                 "text": pa.nulls(n, pa.string()),
@@ -158,9 +159,10 @@ def reassemble_spans(ds: ray.data.Dataset) -> ray.data.Dataset:
     srt = ds.sort(["doc_id", "span_idx"])
 
     def local(t: pa.Table) -> pa.Table:
+        doc_t = t.schema.field("doc_id").type
         if t.num_rows == 0:
             styp = pa.struct([(f, t.schema.field(f).type) for f in fields])
-            return pa.table({"doc_id": pa.array([], pa.string()),
+            return pa.table({"doc_id": pa.array([], doc_t),
                              "spans": pa.array([], pa.list_(styp)),
                              "_first": pa.array([], pa.int64()),
                              "_b": pa.array([], pa.bool_())})
@@ -182,7 +184,7 @@ def reassemble_spans(ds: ray.data.Dataset) -> ray.data.Dataset:
         b = np.zeros(nseg, bool)
         b[0] = True
         b[-1] = True
-        return pa.table({"doc_id": pa.array(doc[starts], pa.string()),
+        return pa.table({"doc_id": pa.array(doc[starts], doc_t),
                          "spans": spans,
                          "_first": pa.array(sidx[starts]),
                          "_b": pa.array(b)})

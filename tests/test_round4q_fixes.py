@@ -56,6 +56,26 @@ def test_explode_reassemble_keeps_zero_span_docs():
     assert len(back.loc["d0", "spans"]) == 1
 
 
+
+def test_explode_reassemble_keeps_int64_doc_ids():
+    from dggrid4py_ray.stages.spans import explode_spans, reassemble_spans
+
+    span_t = pa.struct([("kind", pa.string()), ("text", pa.string()),
+                        ("media_ref", pa.string()), ("offset", pa.int32())])
+    spans = pa.array([
+        [{"kind": "text", "text": "a", "media_ref": None, "offset": 0},
+         {"kind": "text", "text": "b", "media_ref": None, "offset": 1}],
+        [],
+        [{"kind": "geo", "text": "1 2", "media_ref": None, "offset": 0}],
+    ], pa.list_(span_t))
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([7, 11, 3], pa.int64()), "spans": spans}))
+    back = reassemble_spans(explode_spans(ds)).to_pandas()
+    assert back["doc_id"].dtype == np.int64
+    got = {d: [s["text"] for s in sp] for d, sp in
+           zip(back["doc_id"], back["spans"])}
+    assert got == {7: ["a", "b"], 11: [], 3: ["1 2"]}
+
 def test_spatial_join_string_poly_ids():
     from dggrid4py_ray.stages.join import spatial_join_via_cells
 
