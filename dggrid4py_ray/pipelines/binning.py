@@ -8,11 +8,12 @@ presence + counts).
 Skew strategy (the north rule's explicit requirement): a *combiner* stage —
 within-batch partial aggregation in ``map_batches`` before the shuffle — so a
 hot cell (coastline/urban Zipf head) contributes at most one partial row per
-batch instead of millions of raw rows.  The final ``groupby(cell_id)`` then
-shuffles only O(num_batches x distinct_cells_per_batch) rows.  This
-dominates explicit key-salting for mean/count/presence (all partial-final
-decomposable); `salted_groupby_mean` below demonstrates the salting variant
-for aggregations that cannot pre-combine.
+batch instead of millions of raw rows.  The final aggregation (one range
+sort on ``cell_id``) then shuffles only O(num_batches x
+distinct_cells_per_batch) rows.  This dominates explicit key-salting for
+mean/count/presence (all partial-final decomposable); `salted_groupby_mean`
+below demonstrates the salting variant for aggregations that cannot
+pre-combine.
 """
 
 from __future__ import annotations
@@ -52,46 +53,22 @@ def bin_point_vals(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolution: i
                    value_col: str = "value", lon_col: str = "lon", lat_col: str = "lat",
                    output_count: bool = True,
                    cell_output_control: str = "OUTPUT_OCCUPIED",
-                   high_cardinality: bool | None = None,
                    output_sum: bool = False,
                    concurrency: int | None = None, **kw) -> ray.data.Dataset:
     """Per-cell mean of point values (+count).  OUTPUT_ALL joins the result
     onto the full cell universe with nulls for empty cells (reference
     cell_output_control semantics, dggrid_runner.py:189-190).
 
-    Aggregate path auto-selection (high_cardinality=None): Ray's hash
-    Aggregate wins below ~100k distinct keys and burns ~150-370 CPU-s per
-    million beyond (measured, ROUND2_NOTES); distinct occupied cells are
-    bounded by the closed-form cell count at ``resolution``, so when that
-    bound clears the crossover we route through grouped_sum (sort +
-    segmented reduction).  When the input is small the sort is trivially
-    cheap, so the bound-based rule has no bad case."""
+    One aggregation path at every resolution: the per-batch combiner,
+    then the sort-then-reduce ``grouped_sum`` (one range sort on
+    ``cell_id``, each sorted block reduced to final rows).  The returned
+    dataset is lazy; nothing executes until it is consumed."""
     dggs = dgselect(dggs_type, resolution=resolution, **kw)
     enc = ds.map_batches(CellEncoder(dggs, lon_col=lon_col, lat_col=lat_col),
                          batch_format="pyarrow", concurrency=concurrency)
     partial = enc.map_batches(_partial_mean_combiner(value_col), batch_format="pyarrow")
-    if high_cardinality is None:
-        from ..dggs.stats import cells_at_res
-        try:
-            bound = cells_at_res(dggs)
-        except Exception:
-            bound = float("inf") if resolution >= 8 else 0
-        if bound > 100_000:
-            # the universe bound exceeds the crossover, but OCCUPIED
-            # cells are also bounded by the combiner's output rows —
-            # measure them (free: the sort path would materialize the
-            # partials anyway for its all-to-all, and the partials are
-            # combiner-shrunk)
-            partial = partial.materialize()
-            bound = min(bound, partial.count())
-        high_cardinality = bound > 100_000
-    if high_cardinality:
-        agg = grouped_sum(partial, "cell_id",
-                          {"psum": "sum_value", "pcount": "count_value"})
-    else:
-        agg = partial.groupby("cell_id").aggregate(
-            Sum("psum", alias_name="sum_value"),
-            Sum("pcount", alias_name="count_value"))
+    agg = grouped_sum(partial, "cell_id",
+                      {"psum": "sum_value", "pcount": "count_value"})
 
     def finish(batch: pa.Table) -> pa.Table:
         mean = pa.array(np.asarray(batch["sum_value"]) / np.asarray(batch["count_value"]))
@@ -166,12 +143,11 @@ def bin_point_presence(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolutio
     count, and the total point count.
 
     Combiner: within-batch distinct (cell, class) + counts.  Final stage
-    auto-selects like bin_point_vals: below the ~100k-cell bound, one
-    groupby(cell).map_groups; above it, a range sort on (cell, cls) with
-    block-local presence assembly — only the cells split across block
-    boundaries (<= 2 per block) go through a Ray aggregate + map_groups,
-    so per-cell work stays in vectorized pandas instead of one Ray
-    map_groups call per cell."""
+    auto-selects on the cell universe: below ~100k cells, one
+    groupby(cell).map_groups; above it, one range sort on ``cell_id``
+    alone, which puts every row of a cell into one sorted block, so each
+    block's presence rows are final and per-cell work stays in vectorized
+    pandas instead of one Ray map_groups call per cell."""
     dggs = dgselect(dggs_type, resolution=resolution, **kw)
     enc = ds.map_batches(CellEncoder(dggs, lon_col=lon_col, lat_col=lat_col),
                          batch_format="pyarrow", concurrency=concurrency)
@@ -205,63 +181,31 @@ def bin_point_presence(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolutio
         agg = p.groupby(["cell_id", "cls"]).aggregate(Sum("pcount", alias_name="n"))
         return agg.groupby("cell_id").map_groups(per_cell, batch_format="pandas")
 
-    # scale path: ONE range sort; presence rows assembled per sorted block
-    srt = p.sort(["cell_id", "cls"])
+    # scale path: ONE range sort on cell_id alone — a (cell_id, cls) range
+    # sort could cut one cell's classes across two blocks
+    out_cols = ["cell_id", "classes"] \
+        + (["num_classes"] if output_num_classes else []) \
+        + (["count_value"] if output_count else [])
 
     def block(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            # full output schema with the non-empty path's Arrow types: a
+            # skewed range sort can hand a block zero rows, and empty
+            # pandas object columns would infer as pa.null
+            types = {"cell_id": pa.int64(), "classes": pa.string(),
+                     "num_classes": pa.int64(), "count_value": pa.int64()}
+            return pa.schema([(c, types[c]) for c in out_cols]).empty_table()
         df = pd.DataFrame({
             "cell_id": batch["cell_id"].to_numpy(zero_copy_only=False),
             "cls": batch["cls"].to_numpy(zero_copy_only=False),
             "n": batch["pcount"].to_numpy(zero_copy_only=False)})
         agg = df.groupby(["cell_id", "cls"], sort=True)["n"].sum().reset_index()
-        cells = agg["cell_id"].to_numpy()
-        if len(cells) == 0:
-            # full output schema with the non-empty path's Arrow types: a
-            # skewed range sort can hand a block zero rows, and the
-            # select/union below would fail on a schema mismatch otherwise
-            # (empty pandas object columns infer as pa.null, hence explicit)
-            empty = {"cell_id": pa.array([], type=pa.int64()),
-                     "classes": pa.array([], type=pa.string())}
-            if output_num_classes:
-                empty["num_classes"] = pa.array([], type=pa.int64())
-            if output_count:
-                empty["count_value"] = pa.array([], type=pa.int64())
-            empty["cls"] = pa.array([], type=pa.string())
-            empty["n"] = pa.array([], type=pa.int64())
-            empty["_b"] = pa.array([], type=pa.bool_())
-            return pa.table(empty)
-        b = (cells == cells[0]) | (cells == cells[-1])
-        done = _presence_rows(agg[~b], output_num_classes, output_count)
-        done["cls"] = ""           # schema-align the two row kinds
-        done["n"] = np.int64(0)
-        done["_b"] = False
-        raw = agg[b].copy()
-        raw["classes"] = ""
-        if output_num_classes:
-            raw["num_classes"] = np.int64(0)
-        if output_count:
-            raw["count_value"] = np.int64(0)
-        raw["_b"] = True
-        cols = ["cell_id", "classes"] \
-            + (["num_classes"] if output_num_classes else []) \
-            + (["count_value"] if output_count else []) + ["cls", "n", "_b"]
-        return pa.Table.from_pandas(pd.concat([done[cols], raw[cols]]),
-                                    preserve_index=False)
+        done = _presence_rows(agg, output_num_classes, output_count)
+        return pa.Table.from_pandas(done[out_cols], preserve_index=False)
 
-    parts = srt.map_batches(block, batch_format="pyarrow").materialize()
-    out_cols = ["cell_id", "classes"] \
-        + (["num_classes"] if output_num_classes else []) \
-        + (["count_value"] if output_count else [])
-    interior = parts.map_batches(
-        lambda t: t.filter(pa.compute.invert(t["_b"])).select(out_cols),
-        batch_format="pyarrow")
-    boundary = parts.map_batches(
-        lambda t: t.filter(t["_b"]).select(["cell_id", "cls", "n"]),
-        batch_format="pyarrow")
-    bagg = boundary.groupby(["cell_id", "cls"]).aggregate(Sum("n", alias_name="n"))
-    bfinal = bagg.groupby("cell_id").map_groups(per_cell, batch_format="pandas") \
-        .map_batches(lambda t: t.select(out_cols), batch_format="pyarrow")
-    return interior.union(bfinal)
+    # batch_size=None: the UDF must see each sorted block whole
+    return p.sort("cell_id").map_batches(block, batch_format="pyarrow",
+                                         batch_size=None)
 
 
 def zonal_mean(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolution: int = 9,

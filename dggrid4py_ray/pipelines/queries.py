@@ -2953,8 +2953,9 @@ def segment_users_events(sf_dir: str):
             .select_columns(["user_id"])
 
     clickers = users_of("click", 50.0)
-    buyers = users_of("purchase", 50.0)
-    erroring = users_of("error", 150.0)
+    # key sides of the Bloom joins are read twice (Bloom build + join)
+    buyers = users_of("purchase", 50.0).materialize()
+    erroring = users_of("error", 150.0).materialize()
     both = bloom_semi_join(clickers, buyers, "user_id")
     clean = bloom_anti_join(both, erroring, "user_id")
     return clean.sort("user_id")
@@ -3512,8 +3513,9 @@ def hotspot_gi_occupied_events(sf_dir: str):
                          "gy": pa.array((eid * 104729) % 18000 // 400),
                          "n": pa.array(np.ones(t.num_rows, np.int64))})
 
+    # gi_star reads cells twice (global moments + stencil)
     cells = grouped_reduce(ds.map_batches(binp, batch_format="pyarrow"),
-                           ["gx", "gy"], {"n": "n"}, how="sum")
+                           ["gx", "gy"], {"n": "n"}, how="sum").materialize()
     out = gi_star(cells, "gx", "gy", "n", radius=1)
 
     def finish(t: pa.Table) -> pa.Table:
@@ -3551,7 +3553,8 @@ def trend_cells_events(sf_dir: str):
                          "n": pa.array(np.ones(t.num_rows, np.int64))})
 
     counts = grouped_reduce(ds.map_batches(binp, batch_format="pyarrow"),
-                            ["gx", "gy", "wk"], {"n": "n"}, how="sum")
+                            ["gx", "gy", "wk"], {"n": "n"}, how="sum") \
+        .materialize()                 # two consumers: weeks + pivot
     wk_parts = counts.map_batches(
         lambda t: pa.table({"wk": pc.unique(
             t["wk"].combine_chunks()
@@ -4132,8 +4135,9 @@ def lisa_events(sf_dir: str):
                          "gy": pa.array((eid * 104729) % 18000 // 400),
                          "n": pa.array(np.ones(t.num_rows, np.int64))})
 
+    # local_moran reads cells twice (global moments + stencil)
     cells = grouped_reduce(ds.map_batches(binp, batch_format="pyarrow"),
-                           ["gx", "gy"], {"n": "n"}, how="sum")
+                           ["gx", "gy"], {"n": "n"}, how="sum").materialize()
     out = local_moran(cells, "gx", "gy", "n", radius=1)
 
     def finish(t: pa.Table) -> pa.Table:
@@ -12241,7 +12245,8 @@ def item_jaccard_parts(sf_dir: str):
                       batch_format="pyarrow"),
         ["c", "p"], out_col="_n") \
         .map_batches(lambda t: t.drop_columns(["_n"]),
-                     batch_format="pyarrow")
+                     batch_format="pyarrow") \
+        .materialize()                 # two consumers: deg + kept
     deg = grouped_count(cp, ["c"], out_col="deg") \
         .filter(expr="deg >= 2") \
         .filter(expr="deg <= 50") \

@@ -10,7 +10,7 @@ Scale shape: neither snapshot's payload ever shuffles.  Each side is
 reduced per batch to (key..., side counts, value fingerprint) — the
 fingerprint is the vectorized 64-bit polynomial hash from
 ``stages/hashing`` combined across value columns with distinct seeds — and
-ONE ``grouped_reduce`` (sort + segmented sum + boundary aggregate, no
+ONE ``grouped_reduce`` (range sort + per-block segmented sum, no
 high-cardinality hash aggregate) merges both sides.  Classification is a
 pure vectorized map over the merged fingerprint rows.
 

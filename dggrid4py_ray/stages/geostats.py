@@ -115,7 +115,7 @@ def radius_of_gyration(points: ray.data.Dataset, key: str,
                               / t["_n"].to_numpy(zero_copy_only=False)),
             "_clon": pa.array(t["_slon"].to_numpy(zero_copy_only=False)
                               / t["_n"].to_numpy(zero_copy_only=False))}),
-        batch_format="pyarrow")
+        batch_format="pyarrow").materialize()    # joined twice below
 
     parts = _join_partitions()
     withc = join_safe(points.select_columns([key, lon_col, lat_col]) \

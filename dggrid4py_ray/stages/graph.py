@@ -378,7 +378,9 @@ def bfs_shortest_hops(edges: ray.data.Dataset, sources,
             dst = hit.map_batches(
                 lambda t: pa.table({"node": t[dst_col].cast(pa.int64())}),
                 batch_format="pyarrow")
-            dst = grouped_count(dst, "node").drop_columns(["n"])
+            # bloom_anti_join reads its big side twice (keep / maybe)
+            dst = grouped_count(dst, "node").drop_columns(["n"]) \
+                .materialize()
             nxt_ds = bloom_anti_join(dst, visited_ds, "node",
                                      key_col="node").materialize()
             if nxt_ds.count() == 0:

@@ -7,20 +7,17 @@ distinct keys (measured, see ROUND2_NOTES) — fine for bounded key spaces
 semantics with one range sort instead:
 
 1. ``ds.sort(key)`` — the single wide op; Ray's range sort scales with
-   block count, not key cardinality.
-2. per sorted block: vectorized pandas groupby reduce (sum/min/max).  Each
-   block's first and last key may continue into the neighbor block, so those
-   rows are flagged as *boundary* rows.
-3. only the boundary rows (≤ 2 per block) go through the real hash
-   Aggregate; interior rows are already final.  The union is the result.
+   block count, not key cardinality.  It cuts the key range at sampled
+   boundaries (``boundaries[i] <= key < boundaries[i+1]``) and merges each
+   range into ONE output block, so every row of a key lands in one block.
+2. per sorted block (``batch_size=None``: the whole block is the batch):
+   a vectorized pandas groupby reduce (sum/min/max).  Because no key
+   spans two blocks, each block's reduce is already final.
 
-The post-combine per-block partials are materialized once so the two
-branches (interior filter / boundary aggregate) don't re-execute the sort.
-The materialized set is one row per (block, distinct-key-run) — the size of
-the *answer*, not the input — and spills to the object store at scale.
-
-All reductions here are associative (sum/min/max), so the block-local +
-boundary-final decomposition is exact.
+The plan is one exchange plus one map and stays lazy: nothing executes
+until the caller consumes the result, and a caller that consumes it more
+than once must ``materialize()`` it itself.  Ray's own
+``GroupedData.map_groups`` relies on the same sort guarantee.
 """
 
 from __future__ import annotations
@@ -35,53 +32,73 @@ from ray.data.aggregate import Max, Min, Sum
 _AGGS = {"sum": Sum, "min": Min, "max": Max}
 
 
+def _reduce_table(batch: pa.Table, keys: list, in_cols: list,
+                  how: dict) -> pa.Table:
+    """One block's groupby reduce, sorted by ``keys``; input column names."""
+    if batch.num_rows == 0:
+        # typed zero-row table: pd->Arrow on an empty groupby yields a
+        # ZERO-COLUMN table, and such schema-less blocks poison every
+        # downstream Arrow hash join ("no match for FieldRef")
+        return batch.select(keys + in_cols)
+    for k in keys:
+        if batch[k].null_count:
+            # pandas groupby would silently DROP the null group (SQL
+            # GROUP BY keeps it) — refuse instead of diverging
+            raise ValueError(f"grouped_reduce: null group key {k!r}; "
+                             "filter or fill upstream")
+    cols = {k: batch[k].to_numpy(zero_copy_only=False) for k in keys}
+    for c in in_cols:
+        cols[c] = batch[c].to_numpy(zero_copy_only=False)
+    df = pd.DataFrame(cols)
+    g = df.groupby(keys, sort=True).agg({c: how[c] for c in in_cols}).reset_index()
+    return pa.Table.from_pandas(g, preserve_index=False)
+
+
 def grouped_reduce(ds: ray.data.Dataset, key, col_map: dict,
                    how: dict | str = "sum",
                    presorted: bool = False) -> ray.data.Dataset:
     """Group ``ds`` on ``key`` (str or list[str]) and reduce the columns in
     ``col_map`` ({input_col: output_col}); ``how`` is a single reduction name
     or {input_col: "sum"|"min"|"max"}.  Output columns: key + renamed
-    reductions.
+    reductions.  The result is lazy (see the module docstring).
 
     ``presorted=True`` skips the range sort: the caller guarantees the
     input blocks TILE a global (key, ...) order (e.g. the output of
-    ``ds.sort`` or ``group_row_number``), so a key split across blocks
-    always sits at block edges where the boundary aggregate recombines
-    it.  Blocks that are merely locally grouped do NOT qualify (an
-    interior-of-block key repeated in another block would double-emit)."""
+    ``group_row_number``, or of ``ds.sort`` on the key plus more columns).
+    Such blocks are cut by row count or by a longer sort key, not at key
+    boundaries, so a key CAN continue from one block into the next: each
+    block's first and last groups are flagged as *boundary* rows and
+    recombined by a hash Aggregate (≤ 2 rows per block), while interior
+    rows are already final.  Blocks that are merely locally grouped do
+    NOT qualify (an interior-of-block key repeated in another block would
+    double-emit)."""
     keys = [key] if isinstance(key, str) else list(key)
     in_cols = list(col_map)
     if isinstance(how, str):
         how = {c: how for c in in_cols}
+    out_names = keys + [col_map[c] for c in in_cols]
 
-    srt = ds if presorted else ds.sort(keys)
+    if not presorted:
+        def block_reduce(batch: pa.Table) -> pa.Table:
+            return _reduce_table(batch, keys, in_cols, how) \
+                .rename_columns(out_names)
+
+        # batch_size=None is load-bearing: the UDF must see each sorted
+        # block whole, or a key could be split across two batches
+        return ds.sort(keys).map_batches(block_reduce, batch_format="pyarrow",
+                                         batch_size=None)
 
     def block_reduce(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # typed zero-row table: pd->Arrow on an empty groupby yields a
-            # ZERO-COLUMN table, and such schema-less blocks poison every
-            # downstream Arrow hash join ("no match for FieldRef")
-            return (batch.select(keys + in_cols)
-                    .append_column("_b", pa.array([], pa.bool_())))
-        for k in keys:
-            if batch[k].null_count:
-                # pandas groupby would silently DROP the null group (SQL
-                # GROUP BY keeps it) — refuse instead of diverging
-                raise ValueError(f"grouped_reduce: null group key {k!r}; "
-                                 "filter or fill upstream")
-        cols = {k: batch[k].to_numpy(zero_copy_only=False) for k in keys}
-        for c in in_cols:
-            cols[c] = batch[c].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(cols)
-        g = df.groupby(keys, sort=True).agg({c: how[c] for c in in_cols}).reset_index()
-        b = pd.Series(False, index=g.index)
-        if len(g):
-            b.iloc[0] = True
-            b.iloc[-1] = True
-        g["_b"] = b
-        return pa.Table.from_pandas(g, preserve_index=False)
+        g = _reduce_table(batch, keys, in_cols, how)
+        b = np.zeros(g.num_rows, bool)
+        if g.num_rows:
+            b[[0, -1]] = True
+        return g.append_column("_b", pa.array(b))
 
-    parts = srt.map_batches(block_reduce, batch_format="pyarrow").materialize()
+    # the two branches below (interior filter / boundary aggregate) both
+    # read the partials: materialize them once instead of re-running the
+    # caller's plan twice
+    parts = ds.map_batches(block_reduce, batch_format="pyarrow").materialize()
     interior = parts.map_batches(
         lambda t: t.filter(pc.invert(t["_b"])).drop_columns(["_b"]),
         batch_format="pyarrow")
@@ -89,17 +106,15 @@ def grouped_reduce(ds: ray.data.Dataset, key, col_map: dict,
         lambda t: t.filter(t["_b"]).drop_columns(["_b"]), batch_format="pyarrow")
     bagg = boundary.groupby(key if isinstance(key, str) else keys).aggregate(
         *[_AGGS[how[c]](c, alias_name=c) for c in in_cols])
-    # boundary aggregate holds <=2 rows per sorted block — without the
-    # coalesce its dozens of near-empty aggregate output blocks union into
-    # the result and COMPOUND across chained grouped_reduce calls (block
-    # count doubled per fold in the rollup pyramid, and per-block fixed
-    # costs dominated).  One block is always right for answer-sized data.
+    # boundary aggregate holds <=2 rows per block — without the coalesce
+    # its dozens of near-empty aggregate output blocks union into the
+    # result and compound across chained calls.  One block is always right
+    # for answer-sized data.
     bagg = bagg.repartition(1)
     merged = interior.union(bagg)
 
     return merged.map_batches(
-        lambda t: t.select(keys + in_cols).rename_columns(
-            keys + [col_map[c] for c in in_cols]),
+        lambda t: t.select(keys + in_cols).rename_columns(out_names),
         batch_format="pyarrow")
 
 

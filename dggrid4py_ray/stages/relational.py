@@ -670,6 +670,7 @@ def exact_group_quantile_sorted(ds: ray.data.Dataset, group_col: str,
               .map_batches(lambda t: t.rename_columns(
                   [group_col, value_col, "_c"]), batch_format="pyarrow"),
             [group_col, value_col], {"_c": "_c"}, how="sum")
+    cnts = cnts.materialize()      # two consumers: running sum + totals
     # both join inputs are reduce-derived (schema-less empty-block
     # pitfall): coalesce each before the exchange
     run = group_running_sum(cnts, group_col, [value_col], "_c",

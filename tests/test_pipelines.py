@@ -107,6 +107,23 @@ def test_bin_point_vals_vs_pandas(ray_session, grid):
     assert (got["count_value"].to_numpy() == exp["count_value"].to_numpy()).all()
 
 
+def test_bin_point_vals_is_lazy(ray_session):
+    """Building the res-9 binning plan executes nothing: an upstream
+    failure surfaces only when the result is consumed."""
+    import ray.data
+    from dggrid4py_ray.pipelines import binning as bn
+
+    def boom(t: pa.Table) -> pa.Table:
+        raise RuntimeError("upstream map failed")
+
+    pts = pa.table({"lon": [1.0, 2.0, 3.0], "lat": [1.0, 2.0, 3.0],
+                    "value": [1.0, 2.0, 3.0]})
+    ds = ray.data.from_arrow(pts).map_batches(boom, batch_format="pyarrow")
+    out = bn.bin_point_vals(ds, resolution=9, value_col="value")
+    with pytest.raises(Exception, match="upstream map failed"):
+        out.to_pandas()
+
+
 def test_presence_binning(ray_session):
     import ray.data
     from dggrid4py_ray.pipelines import binning as bn

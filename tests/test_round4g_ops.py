@@ -111,6 +111,52 @@ def test_grouped_reduce_presorted_matches_sorted():
     np.testing.assert_array_equal(out["mx"], ref["mx"])
 
 
+def test_grouped_reduce_skewed_keys_land_in_one_block(ray_session):
+    """The sort path reduces each sorted block to final rows, which holds
+    only if Ray's range sort puts every row of a key into one block.  A
+    hot key filling most of every input block is the case most likely to
+    break that: every key must come out exactly once, equal to pandas,
+    and in non-decreasing order across the output blocks."""
+    from dggrid4py_ray.stages.groupagg import grouped_reduce
+
+    rng = np.random.default_rng(17)
+    frames, nxt = [], 1
+    for _ in range(48):
+        hot = np.zeros(150, np.int64)
+        uniq = np.arange(nxt, nxt + 50, dtype=np.int64)
+        nxt += 50
+        k = np.concatenate([hot, uniq])
+        v = rng.integers(-1000, 1000, len(k)).astype(np.int64)
+        frames.append(pd.DataFrame({"k": rng.permutation(k), "v": v,
+                                    "w": v}))
+    df = pd.concat(frames, ignore_index=True)
+    ds = ray.data.from_pandas(frames)
+    assert ds.num_blocks() >= 40
+
+    ctx = ray.data.DataContext.get_current()
+    before = ctx.execution_options.preserve_order
+    ctx.execution_options.preserve_order = True
+    try:
+        out = grouped_reduce(ds, "k", {"v": "s", "w": "lo"},
+                             how={"v": "sum", "w": "min"})
+        blocks = [b["k"].to_numpy() for b in
+                  out.iter_batches(batch_size=None, batch_format="pyarrow")
+                  if b.num_rows]
+    finally:
+        ctx.execution_options.preserve_order = before
+    keys = np.concatenate(blocks)
+    assert len(blocks) > 1
+    assert len(keys) == len(np.unique(keys)) == df["k"].nunique()
+    assert bool((np.diff(keys) > 0).all())
+
+    got = out.to_pandas().sort_values("k", ignore_index=True)
+    ref = (df.groupby("k").agg(s=("v", "sum"), lo=("w", "min"))
+           .reset_index())
+    np.testing.assert_array_equal(got["k"], ref["k"])
+    np.testing.assert_array_equal(got["s"], ref["s"])
+    np.testing.assert_array_equal(got["lo"], ref["lo"])
+
+
 def test_group_ewma_matches_sequential_scan():
     from dggrid4py_ray.stages.window import group_ewma
 
