@@ -38,13 +38,6 @@ def num_cells(res: int, aperture: int = 7, topology: str = "HEXAGON",
     return f * aperture**res
 
 
-def cells_at_res(dggs) -> int:
-    """Closed-form cell count for a Dggs config at its own resolution (the
-    bound used to auto-select the binning aggregate path)."""
-    return num_cells(dggs.resolution, dggs.aperture, dggs.topology,
-                     dggs.mixed_aperture_level)
-
-
 def cell_area_km2(res: int, aperture: int = 7, topology: str = "HEXAGON",
                   mixed_aperture_level: int | None = None) -> float:
     return EARTH_AREA_KM2 / num_cells(res, aperture, topology, mixed_aperture_level)

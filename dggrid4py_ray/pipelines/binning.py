@@ -10,10 +10,9 @@ within-batch partial aggregation in ``map_batches`` before the shuffle — so a
 hot cell (coastline/urban Zipf head) contributes at most one partial row per
 batch instead of millions of raw rows.  The final aggregation (one range
 sort on ``cell_id``) then shuffles only O(num_batches x
-distinct_cells_per_batch) rows.  This dominates explicit key-salting for
-mean/count/presence (all partial-final decomposable); `salted_groupby_mean`
-below demonstrates the salting variant for aggregations that cannot
-pre-combine.
+distinct_cells_per_batch) rows.  Mean, count, sum and presence all
+decompose into partials, so every operator here takes that one
+sort-then-reduce path; none uses a hash Aggregate.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from ..config import dgselect
 from ..stages.encode import CellEncoder
@@ -88,37 +86,6 @@ def bin_point_vals(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolution: i
     return out
 
 
-def salted_groupby_mean(ds: ray.data.Dataset, key_col: str, value_col: str,
-                        salt: int = 16) -> ray.data.Dataset:
-    """Two-phase salted aggregation: groupby (key, salt) then groupby key.
-
-    The explicit-salting pattern for hot keys when a within-batch combiner is
-    not applicable (kept as a first-class operator per the north rule)."""
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        # SQL AVG semantics: null values contribute to neither sum nor
-        # count — Ray's Count() counts ALL rows, so drop nulls here (Sum
-        # would skip them anyway, which without the filter biases the
-        # mean low)
-        import pyarrow.compute as pc
-        batch = batch.filter(pc.is_valid(batch[value_col]))
-        n = batch.num_rows
-        s = np.arange(n, dtype=np.int64) % salt
-        return batch.append_column("_salt", pa.array(s))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow")
-    phase1 = salted.groupby([key_col, "_salt"]).aggregate(
-        Sum(value_col, alias_name="psum"), Count(alias_name="pcount"))
-    phase2 = phase1.groupby(key_col).aggregate(
-        Sum("psum", alias_name="sum_value"), Sum("pcount", alias_name="count_value"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        mean = pa.array(np.asarray(batch["sum_value"]) / np.asarray(batch["count_value"]))
-        return batch.append_column("mean_value", mean).select([key_col, "mean_value", "count_value"])
-
-    return phase2.map_batches(finish, batch_format="pyarrow")
-
-
 def _presence_rows(df: pd.DataFrame, output_num_classes: bool,
                    output_count: bool) -> pd.DataFrame:
     """(cell_id, cls, n) rows -> one presence row per cell (cls sorted)."""
@@ -136,26 +103,23 @@ def _presence_rows(df: pd.DataFrame, output_num_classes: bool,
 def bin_point_presence(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolution: int = 9,
                        class_col: str = "class_id", lon_col: str = "lon", lat_col: str = "lat",
                        output_count: bool = True, output_num_classes: bool = True,
-                       high_cardinality: bool | None = None,
                        concurrency: int | None = None, **kw) -> ray.data.Dataset:
     """Per-cell class presence (reference BIN_POINT_PRESENCE,
     dggrid_runner.py:1121-1202): distinct classes present per cell, their
     count, and the total point count.
 
-    Combiner: within-batch distinct (cell, class) + counts.  Final stage
-    auto-selects on the cell universe: below ~100k cells, one
-    groupby(cell).map_groups; above it, one range sort on ``cell_id``
-    alone, which puts every row of a cell into one sorted block, so each
-    block's presence rows are final and per-cell work stays in vectorized
-    pandas instead of one Ray map_groups call per cell."""
+    Combiner: within-batch distinct (cell, class) + counts.  Final stage,
+    at every resolution: one range sort on ``cell_id`` alone, which puts
+    every row of a cell into one sorted block, so each block's presence
+    rows are final and per-cell work stays in vectorized pandas.  The
+    returned dataset is lazy."""
     dggs = dgselect(dggs_type, resolution=resolution, **kw)
     enc = ds.map_batches(CellEncoder(dggs, lon_col=lon_col, lat_col=lat_col),
                          batch_format="pyarrow", concurrency=concurrency)
 
     def partial(batch: pa.Table) -> pa.Table:
         # classes are labels (reference: one class per input file) — they
-        # live as strings from here on, so both final paths order them
-        # identically
+        # live as strings from here on, so they order lexically
         df = pd.DataFrame({
             "cell_id": batch["cell_id"].to_numpy(zero_copy_only=False),
             "cls": pd.Series(batch[class_col].to_numpy(zero_copy_only=False)).astype(str),
@@ -165,24 +129,6 @@ def bin_point_presence(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolutio
 
     p = enc.map_batches(partial, batch_format="pyarrow")
 
-    def per_cell(g: pd.DataFrame) -> pd.DataFrame:
-        return _presence_rows(g.rename(columns={"pcount": "n"})
-                              if "n" not in g.columns else g,
-                              output_num_classes, output_count)
-
-    if high_cardinality is None:
-        from ..dggs.stats import cells_at_res
-        try:
-            high_cardinality = cells_at_res(dggs) > 100_000
-        except Exception:
-            high_cardinality = resolution >= 8
-
-    if not high_cardinality:
-        agg = p.groupby(["cell_id", "cls"]).aggregate(Sum("pcount", alias_name="n"))
-        return agg.groupby("cell_id").map_groups(per_cell, batch_format="pandas")
-
-    # scale path: ONE range sort on cell_id alone — a (cell_id, cls) range
-    # sort could cut one cell's classes across two blocks
     out_cols = ["cell_id", "classes"] \
         + (["num_classes"] if output_num_classes else []) \
         + (["count_value"] if output_count else [])
@@ -203,7 +149,9 @@ def bin_point_presence(ds: ray.data.Dataset, dggs_type: str = "IGEO7", resolutio
         done = _presence_rows(agg, output_num_classes, output_count)
         return pa.Table.from_pandas(done[out_cols], preserve_index=False)
 
-    # batch_size=None: the UDF must see each sorted block whole
+    # ONE range sort on cell_id alone (a (cell_id, cls) range sort could
+    # cut one cell's classes across two blocks); batch_size=None: the UDF
+    # must see each sorted block whole
     return p.sort("cell_id").map_batches(block, batch_format="pyarrow",
                                          batch_size=None)
 
@@ -318,8 +266,7 @@ def adaptive_bin_point_vals(ds: ray.data.Dataset, dggs_type: str = "IGEO7",
 
 def spacetime_bin(ds: ray.data.Dataset, lon_col: str, lat_col: str,
                   ts_col: str, value_col: str, deg: float = 1.0,
-                  period_s: int = 604800,
-                  high_cardinality: bool = False) -> ray.data.Dataset:
+                  period_s: int = 604800) -> ray.data.Dataset:
     """Joint spatio-temporal cube: bin points to an equirectangular
     ``deg``-degree grid AND a ``period_s``-second epoch period in one
     pass, emitting (cell, period, n_points, sum_value).  The space-time
@@ -333,10 +280,11 @@ def spacetime_bin(ds: ray.data.Dataset, lon_col: str, lat_col: str,
     ``epoch_us(ts) // (period_s*1e6)`` parity — both floor toward -inf
     for the post-1970 domain).
 
-    ``high_cardinality=True`` routes the final aggregate through the
-    sort-based ``grouped_reduce`` on a packed (cell, period) int64 key —
-    use it when cells x periods outgrows a hash-aggregate's working set
-    (fine-resolution grids over long histories)."""
+    The final aggregate is the sort-based ``grouped_reduce`` on the
+    (cell, period) key pair, so its working set stays bounded when
+    cells x periods grows (fine grids over long histories)."""
+    from ..stages.groupagg import grouped_reduce
+
     n_lon = int(round(360.0 / deg))
 
     def partial(t: pa.Table) -> pa.Table:
@@ -353,24 +301,7 @@ def spacetime_bin(ds: ray.data.Dataset, lon_col: str, lat_col: str,
             n_points=("v", "size"), sum_value=("v", "sum")).reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    if high_cardinality:
-        from ..stages.groupagg import grouped_reduce
-        packed = parts.map_batches(
-            lambda t: pa.table({
-                "_k": pa.array(t["cell"].to_numpy() * 10_000_000
-                               + t["period"].to_numpy()),
-                "n_points": t["n_points"], "sum_value": t["sum_value"]}),
-            batch_format="pyarrow")
-        red = grouped_reduce(packed, "_k",
-                             {"n_points": "n_points",
-                              "sum_value": "sum_value"}, how="sum")
-        return red.map_batches(
-            lambda t: pa.table({
-                "cell": pa.array(t["_k"].to_numpy() // 10_000_000),
-                "period": pa.array(t["_k"].to_numpy() % 10_000_000),
-                "n_points": t["n_points"], "sum_value": t["sum_value"]}),
-            batch_format="pyarrow")
-    return parts.groupby(["cell", "period"]).aggregate(
-        Sum("n_points", alias_name="n_points"),
-        Sum("sum_value", alias_name="sum_value"))
+    return grouped_reduce(ds.map_batches(partial, batch_format="pyarrow"),
+                          ["cell", "period"],
+                          {"n_points": "n_points", "sum_value": "sum_value"},
+                          how="sum")

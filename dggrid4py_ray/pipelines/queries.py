@@ -1422,8 +1422,7 @@ def rollup_latlon_events(sf_dir: str):
         return (lat // 2) * 360 + (lon // 2)
 
     rolled = hierarchical_rollup(finest, "cell", ["s", "n_points"],
-                                 parent, levels=2,
-                                 key_bounds=[90 * 180, 45 * 90])
+                                 parent, levels=2)
     return rolled.map_batches(
         lambda t: pa.table({"level": t["level"], "cell": t["cell"],
                             "n_points": t["n_points"],
@@ -2953,9 +2952,8 @@ def segment_users_events(sf_dir: str):
             .select_columns(["user_id"])
 
     clickers = users_of("click", 50.0)
-    # key sides of the Bloom joins are read twice (Bloom build + join)
-    buyers = users_of("purchase", 50.0).materialize()
-    erroring = users_of("error", 150.0).materialize()
+    buyers = users_of("purchase", 50.0)
+    erroring = users_of("error", 150.0)
     both = bloom_semi_join(clickers, buyers, "user_id")
     clean = bloom_anti_join(both, erroring, "user_id")
     return clean.sort("user_id")

@@ -132,9 +132,13 @@ def bloom_semi_join(big: ray.data.Dataset, keys: ray.data.Dataset,
     sides: Bloom-prune the big side before the shuffle, then one
     distributed hash semi-join over the survivors (which removes the Bloom
     false positives).  The big side's exchange carries only ~|matches| +
-    fp_rate x |non-matches| rows instead of everything."""
+    fp_rate x |non-matches| rows instead of everything.
+
+    ``keys`` feeds both the Bloom build and the join, so it is
+    materialized once here (a no-op for an already-materialized side)."""
     from .dedup import _join_partitions
     key_col = key_col or big_col
+    keys = keys.materialize()
     bloom = ray.put(build_bloom(keys, key_col, num_bits, num_hashes))
     pruned = bloom_prune(big, big_col, bloom, num_bits, num_hashes)
     right = keys.map_batches(lambda t: t.select([key_col]),
@@ -168,9 +172,11 @@ def bloom_anti_join(big: ray.data.Dataset, keys: ray.data.Dataset,
     upstream lineage EXECUTES TWICE (Ray streams; no spill of the 100-TB
     side).  That trade is right when the producer is a parquet read or a
     cheap projection; if the lineage above is expensive, materialize (or
-    checkpoint) it before calling."""
+    checkpoint) it before calling.  The small ``keys`` side also feeds
+    two consumers (Bloom build + join) and is materialized once here."""
     from .dedup import _join_partitions
     key_col = key_col or big_col
+    keys = keys.materialize()
     bloom = ray.put(build_bloom(keys, key_col, num_bits, num_hashes))
 
     keep = bloom_prune(big, big_col, bloom, num_bits, num_hashes,

@@ -979,10 +979,9 @@ def duplicated_window_counts(ds: "ray.data.Dataset", window: int = 8,
     totals = grouped_count(win, "doc_id", out_col="n_windows")
 
     cnt = grouped_count(win, "w", out_col="_c")
-    # bloom_semi_join reads its key side twice (Bloom build + join)
     dups = cnt.map_batches(
         lambda t: t.filter(pc.greater(t["_c"], 1)).select(["w"]),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow")
     dup_pos = bloom_semi_join(win, dups, "w")
     dup_counts = grouped_count(dup_pos, "doc_id",
                                out_col="_nd").map_batches(

@@ -8,9 +8,11 @@ driver-side quantile read — no sort, no shuffle, no second pass.  Where
 KLL flips a coin per compaction to stay unbiased, this compactor keeps
 every other element of the sorted buffer with a starting parity that
 ALTERNATES via a per-level counter — a deterministic substitute for the
-coin that cancels the even-keep rank bias across compactions.  The sketch
-is a PURE FUNCTION of the input multiset + merge tree (deterministic
-across retries: same Ray plan => same merge tree).
+coin that cancels the even-keep rank bias across compactions.  The merge
+is commutative but not associative, so every merge of several partial
+sketches runs in a canonical order (sorted by serialized bytes), never in
+Ray's arrival order: the sketch is a PURE FUNCTION of the input blocks +
+plan (deterministic across runs and retries).
 
 Error: each compaction at level L perturbs any rank by at most 2^L and a
 level compacts ~n/(k*2^L) times, giving the classic deterministic
@@ -19,8 +21,9 @@ at k=256 the rank error is <=0.45%% across q in [0.1, 0.99] (tested), and
 exact whenever no compaction fires (k >= n — the oracle regime).
 
 Ray shape: map_batches -> one serialized sketch row per batch ->
-fan-in-32 merge stages -> tiny driver merge.  Sketch size is
-O(k * log(n/k)) float64 regardless of n.
+fan-in-32 merge stages -> driver merge of the collected survivors (about
+one sketch per input block).  Sketch size is O(k * log(n/k)) float64
+regardless of n.
 """
 
 from __future__ import annotations
@@ -99,6 +102,15 @@ def _deserialize(b: bytes) -> dict:
     return {"levels": levels, "par": [int(p) for p in par]}
 
 
+def _merge_all(blobs, k: int) -> dict:
+    """Merge serialized sketches in a canonical order (sorted bytes), so
+    the result does not depend on the order they arrive in."""
+    acc = _new()
+    for b in sorted(blobs):
+        acc = _merge(acc, _deserialize(b), k)
+    return acc
+
+
 def quantile_sketch(ds: ray.data.Dataset, value_col: str,
                     k: int = 512) -> dict:
     """Build the sketch over ``ds[value_col]`` (one corpus pass, fan-in
@@ -112,19 +124,17 @@ def quantile_sketch(ds: ray.data.Dataset, value_col: str,
         return pa.table({"sk": pa.array([_serialize(sk)], pa.binary())})
 
     def merge_rows(t: pa.Table) -> pa.Table:
-        acc = _new()
-        for b in t["sk"].to_pylist():
-            acc = _merge(acc, _deserialize(b), k)
+        acc = _merge_all(t["sk"].to_pylist(), k)
         return pa.table({"sk": pa.array([_serialize(acc)], pa.binary())})
 
+    # merge_rows fuses with ``partial`` into one task per input bundle (one
+    # block, unless blocks hold fewer than 32 rows), so its batches group
+    # sketches by block, not by arrival; only the driver's order varies
     folded = (ds.map_batches(partial, batch_format="pyarrow")
                 .map_batches(merge_rows, batch_format="pyarrow",
                              batch_size=32))
-    acc = _new()
-    for batch in folded.iter_batches(batch_format="pyarrow"):
-        for b in batch["sk"].to_pylist():
-            acc = _merge(acc, _deserialize(b), k)
-    return acc
+    return _merge_all([b for batch in folded.iter_batches(batch_format="pyarrow")
+                       for b in batch["sk"].to_pylist()], k)
 
 
 def sketch_quantiles(sk: dict, qs) -> np.ndarray:

@@ -10,9 +10,9 @@ grouped reduction over the previous level's output, whose row count
 shrinks geometrically (factor 7 for IGEO7 Z7 parents, 4 for a lat/lon
 bisection pyramid).  Beyond the finest bin the total extra work is
 ~n_cells * (1/7 + 1/49 + ...) ≈ n_cells/6 rows — noise at any corpus
-size, and each fold's shuffle is the sort-based ``grouped_reduce``
-(stages/groupagg), so no high-cardinality hash Aggregate appears even
-at res-12 cell universes.
+size.  Every fold, coarse or fine, is the sort-based ``grouped_reduce``
+(stages/groupagg): one aggregation path whose working set stays bounded
+even at res-12 cell universes (~10^12 Z7 cells).
 
 Only decomposable aggregates fold correctly (sum/count via sum; min;
 max); carry means as (sum, count) and divide at the end.
@@ -37,8 +37,7 @@ from .groupagg import grouped_reduce
 
 def hierarchical_rollup(ds: ray.data.Dataset, cell_col: str, sum_cols: list,
                         parent_fn, levels: int, level_col: str = "level",
-                        start_level: int = 0, level_step: int = 1,
-                        key_bounds: list | None = None) -> ray.data.Dataset:
+                        start_level: int = 0, level_step: int = 1) -> ray.data.Dataset:
     """Fold a finest-level per-cell aggregate up ``levels`` times.
 
     ``ds`` holds one row per finest cell: ``cell_col`` plus the
@@ -48,15 +47,8 @@ def hierarchical_rollup(ds: ray.data.Dataset, cell_col: str, sum_cols: list,
     ``level_col`` = start_level, start_level+level_step, ... (finest
     first).  The input ``ds`` is materialized once so the finest level
     isn't recomputed per fold; each materialized fold is cell-count
-    sized, never point-count sized.
-
-    ``key_bounds[k-1]`` (optional) is an upper bound on the distinct
-    parent keys produced by fold ``k``.  Same crossover rule as
-    bin_point_vals: a bounded key universe <=100k uses Ray's hash
-    Aggregate (one tiny exchange, no sort overhead); unbounded or larger
-    folds use the sort-based grouped_reduce so no high-cardinality hash
-    Aggregate ever appears (res-12 Z7 universes are ~10^12 cells)."""
-    from ray.data.aggregate import Sum
+    sized, never point-count sized.  Each fold is one sort-based
+    ``grouped_reduce`` on ``cell_col``."""
 
     def tag(level: int):
         def add(batch: pa.Table) -> pa.Table:
@@ -74,19 +66,9 @@ def hierarchical_rollup(ds: ray.data.Dataset, cell_col: str, sum_cols: list,
     out = cur.map_batches(tag(start_level), batch_format="pyarrow")
     for k in range(1, levels + 1):
         reparented = cur.map_batches(reparent, batch_format="pyarrow")
-        bound = key_bounds[k - 1] if key_bounds and k <= len(key_bounds) \
-            else None
-        if bound is not None and bound <= 100_000:
-            folded = reparented.groupby(cell_col).aggregate(
-                *[Sum(c, alias_name=c) for c in sum_cols])
-            # <=100k rows fit one block; dozens of near-empty aggregate
-            # output blocks would tax every downstream stage.
-            folded = folded.repartition(1)
-        else:
-            folded = grouped_reduce(reparented, key=cell_col,
-                                    col_map={c: c for c in sum_cols},
-                                    how="sum")
-        cur = folded.materialize()
+        cur = grouped_reduce(reparented, key=cell_col,
+                             col_map={c: c for c in sum_cols},
+                             how="sum").materialize()
         # levels shrink geometrically; keep block count proportional to
         # rows (~1M rows/block) so later folds' sorts don't pay per-block
         # fixed costs for near-empty blocks.
@@ -114,10 +96,7 @@ def rollup_z7(ds: ray.data.Dataset, cell_col: str, sum_cols: list,
         z = cells.astype(np.uint64, copy=False)
         return ig.z7_parent(z).astype(cells.dtype, copy=False)
 
-    # Distinct parent keys at fold k are bounded by the closed-form cell
-    # count at resolution from_res-k (10*7^r + 2 for aperture 7).
-    bounds = [10 * 7 ** r + 2 for r in range(from_res - 1, to_res - 1, -1)]
     return hierarchical_rollup(ds, cell_col, sum_cols, parent,
                                levels=from_res - to_res,
                                level_col=level_col, start_level=from_res,
-                               level_step=-1, key_bounds=bounds)
+                               level_step=-1)

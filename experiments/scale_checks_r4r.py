@@ -80,7 +80,7 @@ def main():
         assert n_pairs == 5 * n - 15, n_pairs
 
     # 3. space-time cube: 20M rows onto a 0.5-degree x daily cube
-    # (hash-agg path; cells x days ~ 2.6M keys -> high_cardinality path)
+    # (cells x days ~ 2.6M keys through the sort-based grouped_reduce)
     if want("spacetime"):
         from dggrid4py_ray.pipelines.binning import spacetime_bin
         n = 20_000_000
@@ -98,7 +98,7 @@ def main():
             .map_batches(coords, batch_format="pyarrow")
         t0 = time.time()
         out = spacetime_bin(ds, "lon", "lat", "ts", "v", deg=0.5,
-                            period_s=86400, high_cardinality=True)
+                            period_s=86400)
         n_cells = out.count()
         _emit("spacetime_bin", n, t0, n_cube_cells=n_cells)
 

@@ -73,3 +73,27 @@ def test_bloom_anti_join_disjoint_sides(ray_session):
         ray_session.data.from_pandas(big).repartition(3),
         ray_session.data.from_pandas(keys).repartition(2), "k").to_pandas()
     assert sorted(out["v"].tolist()) == list(range(100))
+
+
+@pytest.mark.parametrize("join", ["semi", "anti"])
+def test_bloom_join_runs_lazy_key_side_once(ray_session, tmp_path, join):
+    """The key side feeds the Bloom build and the join; a lazy key side
+    must execute its lineage once (one UDF call per input block)."""
+    import ray.data
+    from dggrid4py_ray.stages.bloom import bloom_anti_join, bloom_semi_join
+    log = str(tmp_path / "calls.log")
+
+    def tap(df):
+        with open(log, "a") as f:
+            f.write("call\n")
+        return df
+
+    blocks = [pd.DataFrame({"id": np.arange(i, 300, 3)}) for i in range(3)]
+    keys = ray.data.from_pandas(blocks).map_batches(
+        tap, batch_format="pandas", batch_size=None)
+    big = _ds(pd.DataFrame({"id": np.arange(600), "v": np.arange(600.)}))
+    fn = bloom_semi_join if join == "semi" else bloom_anti_join
+    out = fn(big, keys, "id", num_bits=1 << 12).to_pandas()
+    assert len(out) == 300
+    with open(log) as f:
+        assert len(f.read().splitlines()) == len(blocks)

@@ -220,9 +220,11 @@ def test_flagship_checkpointed(ray_session, tmp_path):
     assert dm["n_partitions"] == 3 and dm["total_rows"] == 300
 
 
-def test_presence_high_cardinality_path_matches(ray_session):
-    """The sorted segment-concat presence path (scale path) must produce
-    byte-identical rows to the map_groups path."""
+def test_presence_high_cardinality_path_matches(ray_session, grid):
+    """The sort-then-reduce presence path equals a pandas presence table
+    built from in-process encodes of the same points (classes as string
+    labels, joined in lexical order)."""
+    import pandas as pd
     import ray.data
     from dggrid4py_ray.pipelines import binning as bn
     rng = np.random.default_rng(11)
@@ -230,13 +232,21 @@ def test_presence_high_cardinality_path_matches(ray_session):
     tbl = pa.table({"lon": rng.uniform(-180, 180, n),
                     "lat": np.degrees(np.arcsin(rng.uniform(-1, 1, n))),
                     "class_id": rng.integers(0, 5, n)})
-    a = bn.bin_point_presence(ray.data.from_arrow(tbl).repartition(4),
-                              resolution=4, high_cardinality=False).to_pandas()
-    b = bn.bin_point_presence(ray.data.from_arrow(tbl).repartition(4),
-                              resolution=4, high_cardinality=True).to_pandas()
-    a = a.sort_values("cell_id").reset_index(drop=True)
-    b = b.sort_values("cell_id").reset_index(drop=True)[a.columns]
-    assert a.equals(b.astype(a.dtypes.to_dict()))
+    got = bn.bin_point_presence(ray.data.from_arrow(tbl).repartition(4),
+                                resolution=4).to_pandas()
+    cells = np.asarray(grid.encode(tbl["lon"].to_numpy(),
+                                   tbl["lat"].to_numpy(), 4), np.int64)
+    df = pd.DataFrame({"cell_id": cells,
+                       "cls": tbl["class_id"].to_numpy().astype(str)})
+    per = df.groupby(["cell_id", "cls"]).size().rename("n").reset_index()
+    g = per.groupby("cell_id", sort=True)
+    want = pd.DataFrame({
+        "cell_id": g["cell_id"].first().to_numpy(),
+        "classes": g["cls"].agg(",".join).to_numpy(),
+        "num_classes": g["cls"].size().to_numpy(),
+        "count_value": g["n"].sum().to_numpy()})
+    got = got.sort_values("cell_id").reset_index(drop=True)[want.columns]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_presence_scale_path_empty_block(ray_session):
@@ -249,7 +259,7 @@ def test_presence_scale_path_empty_block(ray_session):
                     "lat": pa.array([1.0, 2.0, 3.0]),
                     "class_id": pa.array([0, 1, 0])})
     out = bn.bin_point_presence(ray.data.from_arrow(tbl).repartition(16),
-                                resolution=3, high_cardinality=True).to_pandas()
+                                resolution=3).to_pandas()
     assert len(out) >= 1 and {"cell_id", "classes", "num_classes",
                               "count_value"} <= set(out.columns)
     assert out["count_value"].sum() == 3

@@ -50,3 +50,25 @@ def test_sketch_ignores_nulls(ray_session):
     sk = quantile_sketch(ds, "v", k=100)
     est = sketch_quantiles(sk, [0.5, 1.0])
     assert list(est) == [3.0, 5.0]                # quantile_disc over non-NULL
+
+
+def test_sketch_merge_order_independent():
+    """Partials merged in any arrival order give the same sketch: the
+    merge is not associative, so it must run in a canonical order."""
+    from dggrid4py_ray.stages.quantile_sketch import (_add, _merge_all, _new,
+                                                      _serialize,
+                                                      sketch_quantiles)
+    rng = np.random.default_rng(4)
+    k = 64
+    parts = []
+    for chunk in np.array_split(rng.lognormal(0, 2, 20_000), 24):
+        sk = _new()
+        _add(sk, chunk, k)
+        parts.append(_serialize(sk))
+    qs = np.linspace(0.01, 0.99, 25)
+    reads = []
+    for seed in (0, 1):
+        order = np.random.default_rng(seed).permutation(len(parts))
+        reads.append(sketch_quantiles(_merge_all([parts[i] for i in order],
+                                                 k), qs))
+    np.testing.assert_array_equal(reads[0], reads[1])

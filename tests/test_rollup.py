@@ -34,12 +34,13 @@ def _make_parent():
 _parent = _make_parent()
 
 
-def test_rollup_matches_direct_recompute(ray_session):
+@pytest.mark.parametrize("n,seed", [(5000, 7), (2000, 11)])
+def test_rollup_matches_direct_recompute(ray_session, n, seed):
     from dggrid4py_ray.stages.rollup import hierarchical_rollup
 
-    ds, df = _finest(ray_session)
+    ds, df = _finest(ray_session, n=n, seed=seed)
     out = hierarchical_rollup(ds, "cell", ["v", "n_points"], _parent,
-                              levels=2, key_bounds=[90 * 180, 45 * 90])
+                              levels=2)
     got = out.to_pandas()
 
     for lvl in range(3):
@@ -58,23 +59,6 @@ def test_rollup_matches_direct_recompute(ray_session):
                                    rtol=1e-12)
         np.testing.assert_array_equal(g["n_points"].to_numpy(),
                                       want["n_points"].to_numpy())
-
-
-def test_rollup_grouped_reduce_path_same_result(ray_session):
-    """key_bounds=None forces the sort-based grouped_reduce fold (the
-    >100k-cell scale path); it must agree with the hash-agg path."""
-    from dggrid4py_ray.stages.rollup import hierarchical_rollup
-
-    ds, _ = _finest(ray_session, n=2000, seed=11)
-    a = hierarchical_rollup(ds, "cell", ["v", "n_points"], _parent,
-                            levels=2, key_bounds=[90 * 180, 45 * 90])
-    b = hierarchical_rollup(ds, "cell", ["v", "n_points"], _parent, levels=2)
-    pa_ = (a.to_pandas().sort_values(["level", "cell"], ignore_index=True))
-    pb = (b.to_pandas().sort_values(["level", "cell"], ignore_index=True))
-    pa_ = pa_[sorted(pa_.columns)]
-    pb = pb[sorted(pb.columns)]
-    pd.testing.assert_frame_equal(pa_, pb, check_dtype=False,
-                                  rtol=1e-12, atol=0)
 
 
 def test_rollup_z7_matches_parent_grouping(ray_session, grid):

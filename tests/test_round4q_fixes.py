@@ -94,17 +94,6 @@ def test_spatial_join_string_poly_ids():
     assert got == {5.0: "alpha", 25.0: "beta"}
 
 
-def test_salted_mean_skips_nulls_like_sql_avg():
-    from dggrid4py_ray.pipelines.binning import salted_groupby_mean
-
-    df = pd.DataFrame({"k": ["a", "a", "b"],
-                       "v": [10.0, None, 4.0]})
-    out = salted_groupby_mean(ray.data.from_pandas(df), "k", "v") \
-        .to_pandas().set_index("k")
-    assert out.loc["a", "mean_value"] == 10.0      # not 5.0
-    assert out.loc["a", "count_value"] == 1
-
-
 def test_span_fingerprint_injective_on_separators_and_none():
     from dggrid4py_ray.stages.spans import span_sequence_fingerprint
 

@@ -49,8 +49,10 @@ def _cube_ref(df, deg, period_s):
     return r.sort_values(["cell", "period"], ignore_index=True)
 
 
-@pytest.mark.parametrize("high_cardinality", [False, True])
-def test_spacetime_bin_matches_reference(high_cardinality):
+# 60 s periods of 2024 timestamps exceed 10^7: a (cell, period) key
+# packed into one int64 as cell*10^7 + period would decode them wrongly
+@pytest.mark.parametrize("period_s", [7 * 86400, 60])
+def test_spacetime_bin_matches_reference(period_s):
     from dggrid4py_ray.pipelines.binning import spacetime_bin
 
     rng = np.random.default_rng(3)
@@ -63,11 +65,10 @@ def test_spacetime_bin_matches_reference(high_cardinality):
         "v": rng.integers(-50, 500, n).astype(np.int64)})
     out = spacetime_bin(ray.data.from_pandas(df).repartition(6),
                         "lon", "lat", "ts", "v", deg=5.0,
-                        period_s=7 * 86400,
-                        high_cardinality=high_cardinality).to_pandas() \
+                        period_s=period_s).to_pandas() \
         .sort_values(["cell", "period"], ignore_index=True) \
         [["cell", "period", "n_points", "sum_value"]]
-    ref = _cube_ref(df, 5.0, 7 * 86400)
+    ref = _cube_ref(df, 5.0, period_s)
     pd.testing.assert_frame_equal(out.astype("int64"), ref.astype("int64"))
 
 
