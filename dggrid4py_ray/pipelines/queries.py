@@ -235,7 +235,11 @@ def latlon_bin_events(sf_dir: str):
 
 def presence_latlon_events(sf_dir: str):
     """BIN_POINT_PRESENCE dataflow on the 1-degree grid: distinct event
-    types per cell + counts (SQL-checkable)."""
+    types per cell + counts (SQL-checkable).  Same plan as
+    pipelines/binning.bin_point_presence: within-batch combiner, one range
+    sort on ``cell`` alone, a per-block presence reduce."""
+    from .binning import _presence_rows
+
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -248,17 +252,28 @@ def presence_latlon_events(sf_dir: str):
         g = df.groupby(["cell", "event_type"], sort=False).size().reset_index(name="pc")
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["cell", "event_type"]).aggregate(Sum("pc", alias_name="n")))
+    def block(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return pa.schema([("cell", pa.int64()), ("classes", pa.string()),
+                              ("num_classes", pa.int64()),
+                              ("n_points", pa.int64())]).empty_table()
+        df = pd.DataFrame({
+            "cell_id": t["cell"].to_numpy(zero_copy_only=False),
+            "cls": t["event_type"].to_numpy(zero_copy_only=False),
+            "n": t["pc"].to_numpy(zero_copy_only=False)})
+        agg = df.groupby(["cell_id", "cls"], sort=True)["n"].sum().reset_index()
+        done = _presence_rows(agg, output_num_classes=True, output_count=True)
+        return pa.table({"cell": pa.array(done["cell_id"], pa.int64()),
+                         "classes": pa.array(done["classes"], pa.string()),
+                         "num_classes": pa.array(done["num_classes"],
+                                                 pa.int64()),
+                         "n_points": pa.array(done["count_value"],
+                                              pa.int64())})
 
-    def per_cell(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("event_type")
-        return pd.DataFrame({"cell": [g["cell"].iloc[0]],
-                             "classes": [",".join(g["event_type"])],
-                             "num_classes": [len(g)],
-                             "n_points": [int(g["n"].sum())]})
-
-    return agg.groupby("cell").map_groups(per_cell, batch_format="pandas")
+    # batch_size=None: the sort puts every row of a cell into one block,
+    # and the UDF must see that block whole
+    return (ds.map_batches(partial, batch_format="pyarrow").sort("cell")
+              .map_batches(block, batch_format="pyarrow", batch_size=None))
 
 
 def zonal_synthetic(sf_dir: str):
@@ -805,26 +820,31 @@ def asof_events_markers_ll(sf_dir: str):
 
 
 def quantiles_by_flag(sf_dir: str):
-    """EXACT per-group median of l_extendedprice by l_returnflag via the
-    two-pass histogram-refine quantile (no global sort, no per-group
-    materialization); matches DuckDB quantile_disc bit-for-bit."""
+    """EXACT per-group median of l_extendedprice by l_returnflag
+    (stages/relational.exact_group_quantile: one sort of the distinct
+    (flag, price) pairs + an O(#blocks) carry); matches DuckDB
+    quantile_disc bit-for-bit."""
     from ..stages.relational import exact_group_quantile
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
     t = exact_group_quantile(ds, "l_returnflag", "l_extendedprice", q=0.5)
-    return pa.table({"l_returnflag": t["l_returnflag"],
-                     "median_price": _iscale(t["quantile"].to_numpy(), 100)})
+    return t.map_batches(
+        lambda tt: pa.table({"l_returnflag": tt["l_returnflag"],
+                             "median_price": _iscale(tt["quantile"], 100)}),
+        batch_format="pyarrow")
 
 
 def quantile_cont_by_flag(sf_dir: str):
     """EXACT per-group INTERPOLATED quantile (SQL quantile_cont /
-    PERCENTILE_CONT) at q=0.37 — the two bracketing ranks via the
-    histogram-refine finder, linear interpolation on the driver."""
+    PERCENTILE_CONT) at q=0.37 — both bracketing ranks picked in one
+    run of the exact quantile plan, then linear interpolation."""
     from ..stages.relational import exact_group_quantile_cont
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
     t = exact_group_quantile_cont(ds, "l_returnflag", "l_extendedprice",
                                   q=0.37)
-    return pa.table({"l_returnflag": t["l_returnflag"],
-                     "p37_price": _iscale(t["quantile"].to_numpy(), 100)})
+    return t.map_batches(
+        lambda tt: pa.table({"l_returnflag": tt["l_returnflag"],
+                             "p37_price": _iscale(tt["quantile"], 100)}),
+        batch_format="pyarrow")
 
 
 def hash_sample_docs(sf_dir: str):
@@ -1398,6 +1418,7 @@ def rollup_latlon_events(sf_dir: str):
     (stages/rollup.hierarchical_rollup) — the oracle recomputes every level
     directly from the raw points, so the fold must conserve counts and
     sums per coarse cell exactly."""
+    from ..stages.groupagg import grouped_reduce
     from ..stages.rollup import hierarchical_rollup
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
@@ -1412,10 +1433,9 @@ def rollup_latlon_events(sf_dir: str):
             s=("value", "sum"), n_points=("value", "size")).reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    finest = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby("cell").aggregate(Sum("s", alias_name="s"),
-                                           Sum("n_points",
-                                               alias_name="n_points")))
+    finest = grouped_reduce(ds.map_batches(partial, batch_format="pyarrow"),
+                            "cell", {"s": "s", "n_points": "n_points"},
+                            how="sum")
 
     def parent(cells: np.ndarray) -> np.ndarray:
         lat, lon = cells // 360, cells % 360
@@ -1891,16 +1911,15 @@ def idw_grid_events(sf_dir: str):
 
 def quality_gate_docs(sf_dir: str):
     """Percentile quality gate: per-lang p25 of n_chars via the exact
-    two-pass histogram quantile (bounded group count), thresholds
+    quantile (stages/relational.exact_group_quantile), thresholds
     broadcast, survivors counted per lang — the 'drop the bottom quartile'
-    curation step with no global sort."""
+    curation step; only the distinct (lang, n_chars) pairs are sorted."""
     import ray as _ray
     from ..stages.relational import exact_group_quantile
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    thr = exact_group_quantile(ds, "lang", "n_chars", q=0.25)
-    lut = {l: v for l, v in zip(thr["lang"].to_pylist(),
-                                thr["quantile"].to_pylist())}
+    lut = {r["lang"]: r["quantile"] for r in
+           exact_group_quantile(ds, "lang", "n_chars", q=0.25).take_all()}
     ref = _ray.put(lut)
 
     def survivors(t: pa.Table) -> pa.Table:
@@ -2043,18 +2062,16 @@ def erode_dilated_box(sf_dir: str):
 
 
 def mad_by_flag(sf_dir: str):
-    """Median absolute deviation per group — TWO exact quantile passes
+    """Median absolute deviation per group — TWO exact quantiles
     (median, then median of |x - m| with the 3-row median table broadcast
-    into the second pass), each the no-global-sort histogram-refine
-    quantile.  Robust-statistics building block, bit-exact vs
-    quantile_disc."""
+    into the second one), each stages/relational.exact_group_quantile.
+    Robust-statistics building block, bit-exact vs quantile_disc."""
     import ray as _ray
     from ..stages.relational import exact_group_quantile
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-    med = exact_group_quantile(ds, "l_returnflag", "l_extendedprice", q=0.5)
-    lut = dict(zip(med["l_returnflag"].to_pylist(),
-                   med["quantile"].to_pylist()))
+    lut = {r["l_returnflag"]: r["quantile"] for r in exact_group_quantile(
+        ds, "l_returnflag", "l_extendedprice", q=0.5).take_all()}
     ref = _ray.put(lut)
 
     def absdev(t: pa.Table) -> pa.Table:
@@ -2065,12 +2082,12 @@ def mad_by_flag(sf_dir: str):
         return pa.table({"l_returnflag": t["l_returnflag"],
                          "dev": pa.array(np.abs(v - m))})
 
-    # materialize: exact_group_quantile makes >=3 passes over its input —
-    # without this each pass would re-read lineitem and re-run absdev
-    dev = ds.map_batches(absdev, batch_format="pyarrow").materialize()
+    dev = ds.map_batches(absdev, batch_format="pyarrow")
     mad = exact_group_quantile(dev, "l_returnflag", "dev", q=0.5)
-    return pa.table({"l_returnflag": mad["l_returnflag"],
-                     "mad100": _iscale(mad["quantile"].to_numpy(), 100)})
+    return mad.map_batches(
+        lambda t: pa.table({"l_returnflag": t["l_returnflag"],
+                            "mad100": _iscale(t["quantile"], 100)}),
+        batch_format="pyarrow")
 
 
 def ohlc_daily_events(sf_dir: str):
@@ -2889,14 +2906,13 @@ def streaming_dedup_events(sf_dir: str):
 
 def median_price_per_order(sf_dir: str):
     """EXACT per-ORDER median price — per-group quantile at UNBOUNDED
-    group cardinality (stages/relational.exact_group_quantile_sorted:
-    row_number carry chain + counts + one hash join; no per-group driver
-    state, unlike the bounded-groups histogram path)."""
-    from ..stages.relational import exact_group_quantile_sorted
+    group cardinality (stages/relational.exact_group_quantile: one sort
+    of the distinct pairs + an O(#blocks) carry; no join, no per-group
+    driver state)."""
+    from ..stages.relational import exact_group_quantile
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
-    t = exact_group_quantile_sorted(ds, "l_orderkey", "l_extendedprice",
-                                    q=0.5)
+    t = exact_group_quantile(ds, "l_orderkey", "l_extendedprice", q=0.5)
 
     def finish(tt: pa.Table) -> pa.Table:
         return pa.table({"l_orderkey": tt["l_orderkey"],
@@ -3216,8 +3232,8 @@ def skyline_parts(sf_dir: str):
 
 def winsorized_price_by_status(sf_dir: str):
     """Robust mean: o_totalprice winsorized at the exact global
-    [p05, p95] (stages/normalize.winsorize — two streaming quantile
-    scans + broadcast clamp), then mean per order status."""
+    [p05, p95] (stages/normalize.winsorize — two exact quantiles +
+    broadcast clamp), then mean per order status."""
     from ..stages.normalize import winsorize
     from ..stages.groupagg import grouped_reduce
 
@@ -5211,12 +5227,8 @@ def iqr_outliers_events(sf_dir: str):
     ev = ev.map_batches(
         lambda t: t.filter(pc.is_valid(t["value"])),
         batch_format="pyarrow")
-    q1 = exact_group_quantile(ev, "event_type", "value", q=0.25)
-    q3 = exact_group_quantile(ev, "event_type", "value", q=0.75)
-    d1 = {g: v for g, v in zip(q1["event_type"].to_pylist(),
-                               q1["quantile"].to_pylist())}
-    d3 = {g: v for g, v in zip(q3["event_type"].to_pylist(),
-                               q3["quantile"].to_pylist())}
+    d1, d3 = ({r["event_type"]: r["quantile"] for r in exact_group_quantile(
+        ev, "event_type", "value", q=q).take_all()} for q in (0.25, 0.75))
     fences = {g: (d1[g] - 1.5 * (d3[g] - d1[g]),
                   d3[g] + 1.5 * (d3[g] - d1[g])) for g in d1}
     fref = ray.put(fences)
@@ -5330,12 +5342,12 @@ def full_outer_recon_users(sf_dir: str):
 
 def weighted_median_price_by_status(sf_dir: str):
     """Quantity-WEIGHTED median price per lineitem linestatus
-    (stages/relational.exact_group_quantile_sorted with weight_col): the
+    (stages/relational.exact_group_quantile with weight_col): the
     smallest price whose cumulative quantity reaches half the total —
     integer weights and integer cents, so the window-SQL twin matches
-    bit-exactly.  Same unbounded-key machinery as the unweighted sorted
-    quantile; weights replace counts."""
-    from ..stages.relational import exact_group_quantile_sorted
+    bit-exactly.  Same plan as the unweighted quantile; weights replace
+    counts."""
+    from ..stages.relational import exact_group_quantile
 
     li = _read(sf_dir, "lineitem",
                ["l_linestatus", "l_extendedprice", "l_quantity"])
@@ -5347,7 +5359,7 @@ def weighted_median_price_by_status(sf_dir: str):
         return pa.table({"l_linestatus": t["l_linestatus"],
                          "cents": pa.array(cents), "w": pa.array(w)})
 
-    out = exact_group_quantile_sorted(
+    out = exact_group_quantile(
         li.map_batches(prep, batch_format="pyarrow"),
         "l_linestatus", "cents", q=0.5, out_col="wmedian_cents",
         weight_col="w")
@@ -8509,7 +8521,7 @@ ORACLES.update({
 def rolling_median_7d(sf_dir: str):
     """Per (user, active day) EXACT rolling 7-day median of value cents
     (stages/temporal.rolling_median_daily: bounded window expansion +
-    exact_group_quantile_sorted on the packed key — holistic rolling
+    exact_group_quantile on the packed key — holistic rolling
     aggregate at unbounded (user x day) cardinality)."""
     from ..stages.temporal import rolling_median_daily
 
@@ -8793,8 +8805,8 @@ ORACLES.update({
 
 def quartile_buckets_by_type(sf_dir: str):
     """Equal-frequency discretization (stages/normalize.quantile_bucketize):
-    per-event-type quartile cutoffs (exact histogram-refine quantiles,
-    quantile_disc parity), one broadcast + one pure assignment map, then
+    per-event-type quartile cutoffs (exact quantiles, quantile_disc
+    parity), one broadcast + one pure assignment map, then
     an answer-sized (type, bucket) count."""
     from ..stages.normalize import quantile_bucketize
 

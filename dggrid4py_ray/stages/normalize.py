@@ -150,10 +150,9 @@ def winsorize(ds: ray.data.Dataset, col: str, q_lo: float = 0.05,
               ) -> ray.data.Dataset:
     """Clamp ``col`` to its exact global [quantile(q_lo), quantile(q_hi)]
     (quantile_disc semantics) — the robust-statistics guard against
-    outliers before means/regressions.  Two streaming exact-quantile
-    scans (stages/relational.exact_group_quantile with a constant group;
-    no global sort, no materialization) broadcast two scalars; the clamp
-    is a pure vectorized map."""
+    outliers before means/regressions.  Two exact quantiles
+    (stages/relational.exact_group_quantile with a constant group) give
+    two scalars; the clamp is a pure vectorized map."""
     from .relational import exact_group_quantile
 
     out_col = out_col or col
@@ -163,10 +162,8 @@ def winsorize(ds: ray.data.Dataset, col: str, q_lo: float = 0.05,
                          col: t[col]})
 
     gds = ds.map_batches(const_g, batch_format="pyarrow")
-    lo = float(exact_group_quantile(gds, "_g", col, q=q_lo)
-               .column("quantile")[0].as_py())
-    hi = float(exact_group_quantile(gds, "_g", col, q=q_hi)
-               .column("quantile")[0].as_py())
+    lo, hi = (exact_group_quantile(gds, "_g", col, q=q).take_all()[0]
+              ["quantile"] for q in (q_lo, q_hi))
 
     def clamp(t: pa.Table) -> pa.Table:
         v = np.clip(t[col].to_numpy(zero_copy_only=False), lo, hi)
@@ -397,17 +394,18 @@ def quantile_bucketize(ds: ray.data.Dataset, group_col: str,
     bucket b iff cut[b-1] < v <= cut[b] (quantile_disc tie semantics, so
     the SQL CASE twin is bit-exact on integer-scaled values).
 
-    Shape: one exact_group_quantile pass per cutoff (histogram-refine,
-    bounded group counts — the cutoff table is answer-sized by
-    definition), cutoffs broadcast once via ray.put, then ONE pure
-    vectorized assignment map (per-group searchsorted on the 2-D cutoff
-    matrix) — the corpus never shuffles."""
+    Shape: one exact_group_quantile per cutoff (the cutoff table is
+    answer-sized by definition, one row per group and cut), cutoffs
+    broadcast once via ray.put, then ONE pure vectorized assignment map
+    (per-group searchsorted on the 2-D cutoff matrix) — the assignment
+    never shuffles the corpus."""
     import ray
 
     from .relational import exact_group_quantile
 
-    cut_tbls = [exact_group_quantile(ds, group_col, value_col, q=q)
-                .to_pandas().set_index(group_col)["quantile"]
+    cut_tbls = [pd.Series({r[group_col]: r["quantile"] for r in
+                           exact_group_quantile(ds, group_col, value_col,
+                                                q=q).take_all()})
                 for q in qs]
     cuts = pd.DataFrame({i: t for i, t in enumerate(cut_tbls)})
     cuts_ref = ray.put(cuts)

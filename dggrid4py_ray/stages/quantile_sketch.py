@@ -1,9 +1,9 @@
 """Mergeable one-pass quantile sketch (deterministic Munro-Paterson /
 KLL-without-coin-flips compaction).
 
-Complements stages/relational.exact_group_quantile (exact, multi-pass,
-answer-sized group counts) with the streaming tool: ONE pass over the
-corpus, per-batch sketches of bounded size, an associative merge, and a
+Complements stages/relational.exact_group_quantile (exact, one sort of
+the distinct (group, value) pairs) with the streaming tool: ONE pass over
+the corpus, per-batch sketches of bounded size, an associative merge, and a
 driver-side quantile read — no sort, no shuffle, no second pass.  Where
 KLL flips a coin per compaction to stay unbiased, this compactor keeps
 every other element of the sorted buffer with a starting parity that

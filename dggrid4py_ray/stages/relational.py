@@ -9,13 +9,13 @@
   standard broadcast side of an as-of/range join; a large-large range join
   would cogroup on a coarse time bucket instead, same shape as
   join.spatial_join_via_cells).
-* exact_group_quantile — EXACT per-group quantile in two streaming passes:
-  pass 1 builds per-group fixed histograms (combined per batch, merged in
-  one small aggregate) to find each group's target bin; pass 2 collects
-  only the values inside the target bins (tiny) and selects the exact
-  ranked element.  No global sort, no per-group materialization — the
-  100-TB path for percentiles with bit-exact results (quantile_disc
-  semantics: rank = ceil(q*n) - 1, 0-based on the sorted group).
+* exact_group_quantile — EXACT per-group quantile (quantile_disc: rank
+  max(ceil(q*n), 1) on the sorted group; optionally weighted) at any
+  group cardinality: one sort of the distinct (group, value, count)
+  table, an O(#blocks) driver carry of per-group prefixes and edge-group
+  totals, and one per-block pick.  ``exact_group_quantile_cont``
+  (quantile_cont) runs the same plan once and interpolates between the
+  two bracketing ranks.
 """
 
 from __future__ import annotations
@@ -250,230 +250,157 @@ def interval_overlap_join(left: ray.data.Dataset, right: ray.data.Dataset,
     return joined.map_batches(exact, batch_format="pyarrow")
 
 
-def exact_group_quantile(ds: ray.data.Dataset, group_col: str, value_col: str,
-                         q: float = 0.5, bins: int = 1024,
-                         max_groups: int = 100_000,
-                         collect_threshold: int = 65_536,
-                         rank_fn=None, include_n: bool = False) -> pa.Table:
-    """Exact per-group quantile_disc(q): rank ceil(q*n)-1 on the sorted
-    group.  Returns a small Arrow table (group, quantile).
+def _quantile_plan(ds: ray.data.Dataset, group_col: str, value_col: str,
+                   weight_col: str | None, pick) -> ray.data.Dataset:
+    """The one exact per-group quantile plan, shared by the disc, cont and
+    weighted quantiles.
 
-    GROUP-CARDINALITY REGIME: the per-group driver state (counts, ranges,
-    target bins — a few dozen bytes per group) bounds this operator to
-    answer-sized group counts; it raises above ``max_groups``.  For
-    per-document / per-cell key spaces use stages/groupagg.grouped_reduce
-    (sum/min/max) or rethink the statistic — an exact quantile per
-    high-cardinality key is a sorted-neighborhood problem, not a
-    histogram one.
+    1. The DISTINCT (group, value, count) table: one ``grouped_count``
+       (or, with ``weight_col``, a ``grouped_reduce`` weight sum).  Its
+       blocks come out range-sorted and hold each (group, value) once.
+    2. One summary row per block (first key, first/last group, their
+       count sums); the driver walks the summaries in key order and works
+       out each block's carried prefix and the total ``n`` of the groups
+       at its two edges — O(#blocks) state, nothing per group.
+    3. One map over the same blocks: each row's running count within its
+       group, plus the carry, and its group's ``n``; ``pick(t, run, c,
+       n)`` turns them into output rows.
 
-    Shape (ADVICE r3 fix — no per-group materialization even for
-    degenerate distributions):
+    Exact for any group cardinality and any group size: a group may span
+    any number of blocks."""
+    from .groupagg import grouped_count, grouped_reduce
+    from .window import _first_key
 
-    * pass 0: per-group (count, min, max).  Constant groups (min == max)
-      are answered immediately; each group's histogram range is its OWN
-      [min, max] (a global range stretched by one outlier group no longer
-      degrades the others).
-    * refinement passes: per-group histogram into ``bins`` nested
-      sub-bins of the current target bin.  Bin membership is the SAME
-      deterministic formula ``floor((v - lo)/w * bins^depth)`` in every
-      pass, so the partition is consistent regardless of float boundary
-      error.  Each pass divides the in-range count by up to ``bins``;
-      refinement stops per group when the count is <= collect_threshold,
-      the sub-bin width hits float resolution (mass of duplicates), or
-      the depth would overflow float64's 52-bit mantissa.
-    * final pass: collect (value, count) partials — per-batch np.unique —
-      for the surviving target ranges, so even a bin holding 10^9
-      duplicates of one value reaches the driver as one row.
-    """
-    from ray.data.aggregate import Max, Min, Sum
+    keys = [group_col, value_col]
+    if weight_col is None:
+        dist = grouped_count(ds.select_columns(keys), keys, out_col="_c")
+    else:
+        dist = grouped_reduce(ds.select_columns(keys + [weight_col]), keys,
+                              {weight_col: "_c"}, how="sum")
+    dist = dist.materialize()      # read twice: summaries, then the pick
 
-    # pass 0: per-group count/min/max
-    def stats(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+    def summarize(t: pa.Table) -> pa.Table:
+        edge = {"k0": t[group_col].slice(0, min(1, t.num_rows)),
+                "k1": t[value_col].slice(0, min(1, t.num_rows)),
+                "g_last": t[group_col].slice(max(t.num_rows - 1, 0), 1)}
+        if t.num_rows == 0:
+            return pa.table({**edge, "key": pa.array([], pa.string()),
+                             "s_first": pa.array([], pa.float64()),
+                             "s_last": pa.array([], pa.float64())})
         g = t[group_col].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({group_col: g, "v": v})
-        agg = df.groupby(group_col, sort=False)["v"].agg(["count", "min", "max"]).reset_index()
-        return pa.Table.from_pandas(agg, preserve_index=False)
+        c = t["_c"].to_numpy(zero_copy_only=False).astype(np.float64)
+        cuts = np.flatnonzero(g[1:] != g[:-1]) + 1
+        first_end = cuts[0] if len(cuts) else len(g)
+        last_start = cuts[-1] if len(cuts) else 0
+        return pa.table({**edge, "key": [repr(_first_key(t, keys))],
+                         "s_first": [float(c[:first_end].sum())],
+                         "s_last": [float(c[last_start:].sum())]})
 
-    st = (ds.map_batches(stats, batch_format="pyarrow")
-            .groupby(group_col).aggregate(Sum("count", alias_name="n"),
-                                          Min("min", alias_name="lo"),
-                                          Max("max", alias_name="hi"))).to_pandas()
-    if len(st) > max_groups:
-        raise ValueError(
-            f"exact_group_quantile: {len(st)} groups exceeds max_groups="
-            f"{max_groups}; this operator keeps per-group state on the "
-            "driver — for high-cardinality keys use stages/groupagg."
-            "grouped_reduce or raise max_groups explicitly")
-    # each refinement pass pulls up to unresolved_groups x bins histogram
-    # rows to the driver, so the real budget is the PRODUCT, not the group
-    # count alone
-    if len(st) * bins > 20_000_000:
-        raise ValueError(
-            f"exact_group_quantile: {len(st)} groups x {bins} bins = "
-            f"{len(st) * bins} driver-side histogram rows per refinement "
-            "pass; lower `bins` (accuracy per pass trades against pass "
-            "count, the result stays exact) or reduce the group count")
+    summ = dist.map_batches(summarize, batch_format="pyarrow",
+                            batch_size=None).to_pandas()
+    plans = {}
+    if len(summ):        # an empty input sorts to ZERO blocks: no columns
+        summ = summ.sort_values(["k0", "k1"], ignore_index=True)
+        # carry: the running count of the group open at the previous
+        # block's end; totals: the n of every group at a block edge
+        carry_g, carry, prefix, totals = None, 0.0, [], {}
+        for g0, g1, s0, s1 in zip(summ["k0"], summ["g_last"],
+                                  summ["s_first"], summ["s_last"]):
+            pre = carry if g0 == carry_g else 0.0
+            prefix.append(pre)
+            totals[g0] = pre + s0
+            if g1 != g0:
+                totals[g1] = s1
+            carry_g, carry = g1, totals[g1]
+        for key, g0, g1, pre in zip(summ["key"], summ["k0"], summ["g_last"],
+                                    prefix):
+            plans[key] = (pre, totals[g0], totals[g1])
+    plan_ref = ray.put(plans)
 
-    done: dict = {}
-    # state per unresolved group: (lo, w, depth, target_prefix, rank, cnt)
-    # membership at depth d: floor((v - lo) / w * bins**d) == target_prefix
-    state: dict = {}
-    for _, row in st.iterrows():
-        grp = row[group_col]
-        n = int(row["n"])
-        if rank_fn is not None:                   # custom 0-based rank
-            rank = min(max(int(rank_fn(n)), 0), n - 1)
-        else:                                     # quantile_disc rank
-            rank = int(np.ceil(q * n)) - 1 if q > 0 else 0
-            rank = max(rank, 0)
-        lo, hi = float(row["lo"]), float(row["hi"])
-        if lo == hi:
-            done[grp] = lo                       # constant group
-        else:
-            state[grp] = (lo, hi - lo, 0, 0, rank, n)
+    def local_pick(t: pa.Table) -> pa.Table:
+        c = t["_c"].to_numpy(zero_copy_only=False).astype(np.float64)
+        if t.num_rows == 0:
+            return pick(t, c, c, c)
+        pre, n_first, n_last = ray.get(plan_ref)[repr(_first_key(t, keys))]
+        g = t[group_col].to_numpy(zero_copy_only=False)
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        lens = np.diff(np.append(starts, len(g)))
+        csum = np.cumsum(c)
+        run = csum - np.repeat(csum[starts] - c[starts], lens)
+        run[:lens[0]] += pre
+        n = np.repeat(np.add.reduceat(c, starts), lens)
+        n[:lens[0]] = n_first
+        n[len(g) - lens[-1]:] = n_last
+        return pick(t, run, c, n)
 
-    max_depth = max(1, int(52 / np.log2(bins)) - 1)
+    return dist.map_batches(local_pick, batch_format="pyarrow",
+                            batch_size=None)
 
-    def _hist_pass(cur: dict) -> pd.DataFrame:
-        sref = ray.put(cur)
 
-        def hist(t: pa.Table) -> pa.Table:
-            s = ray.get(sref)
-            v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            g = t[group_col].to_numpy(zero_copy_only=False)
-            gs = pd.Series(g)
-            lo = gs.map({k: x[0] for k, x in s.items()}).to_numpy(dtype=np.float64,
-                                                                  na_value=np.nan)
-            sel = ~np.isnan(lo)
-            if not sel.any():
-                return pa.table({group_col: pa.array(g[:0]),
-                                 "b": pa.array([], pa.int64()),
-                                 "c": pa.array([], pa.int64())})
-            w = gs.map({k: x[1] for k, x in s.items()}).to_numpy(dtype=np.float64)
-            dep = gs.map({k: x[2] for k, x in s.items()}).to_numpy(dtype=np.float64)
-            pref = gs.map({k: x[3] for k, x in s.items()}).to_numpy(dtype=np.float64)
-            scale = np.power(float(bins), dep[sel] + 1)
-            frac = np.clip((v[sel] - lo[sel]) / w[sel], 0.0, 1.0)
-            b = np.minimum((frac * scale).astype(np.int64),
-                           (scale - 1).astype(np.int64))
-            keep = (b // bins) == pref[sel].astype(np.int64)
-            df = pd.DataFrame({group_col: g[sel][keep], "b": b[keep]})
-            agg = df.groupby([group_col, "b"], sort=False).size().reset_index(name="c")
-            return pa.Table.from_pandas(agg, preserve_index=False)
+def exact_group_quantile(ds: ray.data.Dataset, group_col: str, value_col: str,
+                         q: float = 0.5, out_col: str = "quantile",
+                         weight_col: str | None = None) -> ray.data.Dataset:
+    """Exact per-group quantile_disc(q): the value at 1-based rank
+    ``max(ceil(q*n), 1)`` of the sorted group.  Returns a lazy Dataset of
+    (group_col, out_col float64), one row per group.
 
-        return (ds.map_batches(hist, batch_format="pyarrow")
-                  .groupby([group_col, "b"])
-                  .aggregate(Sum("c", alias_name="c"))).to_pandas()
+    ``weight_col`` (integer weights > 0) switches to the WEIGHTED
+    quantile: the smallest value whose cumulative weight (in value order)
+    reaches ceil(q * total_weight) — e.g. the quantity-weighted median
+    price.  Weight sums replace the row counts; the pick law is the same.
 
-    while state:
-        refine = {g: s for g, s in state.items()
-                  if s[5] > collect_threshold and s[2] < max_depth
-                  and s[1] / (float(bins) ** (s[2] + 1)) > 4 * np.finfo(np.float64).eps
-                  * max(abs(s[0]), 1.0)}
-        if not refine:
-            break
-        h = _hist_pass(refine)
-        seen = set(h[group_col]) if len(h) else set()
-        for grp in refine:
-            if grp not in seen:   # float-edge stall: fall through to collect
-                lo, w, dep, pref, rank, cnt = refine[grp]
-                state[grp] = (lo, w, dep, pref, rank, 0)
-        for grp, sub in h.groupby(group_col):
-            lo, w, dep, pref, rank, cnt = refine[grp]
-            sub = sub.sort_values("b")
-            cum = sub["c"].cumsum().to_numpy()
-            pos = int(np.searchsorted(cum, rank + 1))
-            new_pref = int(sub["b"].iloc[pos])
-            before = int(cum[pos - 1]) if pos else 0
-            state[grp] = (lo, w, dep + 1, new_pref,
-                          rank - before, int(sub["c"].iloc[pos]))
+    One sort of the distinct (group, value) table plus an O(#blocks)
+    driver carry (``_quantile_plan``); no join, no hash aggregate, no
+    per-group driver state, so the group count scales with the data."""
+    def pick(t, run, c, n):
+        rank = np.maximum(np.ceil(q * n), 1.0)
+        kept = t.filter(pa.array((run - c < rank) & (rank <= run)))
+        return pa.table({group_col: kept[group_col],
+                         out_col: pa.compute.cast(kept[value_col],
+                                                  pa.float64())})
 
-    # final: (value, count) distinct-collect for all unresolved groups
-    if state:
-        sref = ray.put(state)
-
-        def collect(t: pa.Table) -> pa.Table:
-            s = ray.get(sref)
-            v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            g = t[group_col].to_numpy(zero_copy_only=False)
-            gs = pd.Series(g)
-            lo = gs.map({k: x[0] for k, x in s.items()}).to_numpy(dtype=np.float64,
-                                                                  na_value=np.nan)
-            sel = ~np.isnan(lo)
-            empty = pa.table({group_col: pa.array(g[:0]),
-                              "v": pa.array([], pa.float64()),
-                              "c": pa.array([], pa.int64())})
-            if not sel.any():
-                return empty
-            w = gs.map({k: x[1] for k, x in s.items()}).to_numpy(dtype=np.float64)
-            dep = gs.map({k: x[2] for k, x in s.items()}).to_numpy(dtype=np.float64)
-            pref = gs.map({k: x[3] for k, x in s.items()}).to_numpy(dtype=np.float64)
-            scale = np.power(float(bins), dep[sel])
-            frac = np.clip((v[sel] - lo[sel]) / w[sel], 0.0, 1.0)
-            b = np.minimum((frac * scale).astype(np.int64),
-                           np.maximum(scale - 1, 0).astype(np.int64))
-            keep = b == pref[sel].astype(np.int64)
-            if not keep.any():
-                return empty
-            df = pd.DataFrame({group_col: g[sel][keep], "v": v[sel][keep]})
-            agg = df.groupby([group_col, "v"], sort=False).size().reset_index(name="c")
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        inbin = (ds.map_batches(collect, batch_format="pyarrow")
-                   .groupby([group_col, "v"])
-                   .aggregate(Sum("c", alias_name="c"))).to_pandas()
-        for grp, sub in inbin.groupby(group_col):
-            rank = state[grp][4]
-            sub = sub.sort_values("v")
-            cum = sub["c"].cumsum().to_numpy()
-            pos = int(np.searchsorted(cum, rank + 1))
-            done[grp] = float(sub["v"].iloc[pos])
-
-    rows = sorted(done.items())
-    out = {group_col: pa.array([r[0] for r in rows]),
-           "quantile": pa.array([float(r[1]) for r in rows])}
-    if include_n:
-        n_map = dict(zip(st[group_col], st["n"]))
-        out["n"] = pa.array([int(n_map[r[0]]) for r in rows], pa.int64())
-    return pa.table(out)
+    return _quantile_plan(ds, group_col, value_col, weight_col, pick)
 
 
 def exact_group_quantile_cont(ds: ray.data.Dataset, group_col: str,
                               value_col: str, q: float = 0.5,
-                              **kw) -> pa.Table:
+                              out_col: str = "quantile") -> ray.data.Dataset:
     """Exact per-group interpolated quantile (SQL ``quantile_cont`` /
     numpy 'linear'): h = q*(n-1), result = v[floor h] + (h - floor h) *
-    (v[ceil h] - v[floor h]) over the sorted group.
+    (v[ceil h] - v[floor h]) over the sorted group (0-based).
 
-    Runs the histogram-refinement rank finder for the lower bracketing
-    rank, and — only when some group actually needs interpolation
-    (q*(n-1) non-integral) — a second run for the upper rank; the upper
-    run is skipped entirely when every group's target lands on an exact
-    order statistic.  (The two ranks differ by at most 1; folding both
-    into ONE refinement state would halve the remaining 2x for the
-    interpolating case — not done yet, the passes are already few.)"""
-    lo_t = exact_group_quantile(
-        ds, group_col, value_col, q,
-        rank_fn=lambda n: int(np.floor(q * (n - 1))), include_n=True, **kw)
-    lo = lo_t.to_pandas().rename(columns={"quantile": "_vlo"})
-    h = q * (lo["n"].to_numpy(np.float64) - 1.0)
-    frac = h - np.floor(h)
-    vlo = lo["_vlo"].to_numpy(np.float64)
-    if not (frac > 0).any():          # every target is an exact statistic
-        return pa.table({group_col: pa.array(lo[group_col]),
-                         "quantile": pa.array(vlo)})
-    hi_t = exact_group_quantile(
-        ds, group_col, value_col, q,
-        rank_fn=lambda n: int(np.ceil(q * (n - 1))), **kw)
-    hi = hi_t.to_pandas().rename(columns={"quantile": "_vhi"})
-    m = lo.merge(hi, on=group_col)
-    h = q * (m["n"].to_numpy(np.float64) - 1.0)
-    frac = h - np.floor(h)
-    vlo = m["_vlo"].to_numpy(np.float64)
-    vhi = m["_vhi"].to_numpy(np.float64)
-    return pa.table({group_col: pa.array(m[group_col]),
-                     "quantile": pa.array(vlo + frac * (vhi - vlo))})
+    One run of the ``exact_group_quantile`` plan picks the rows at both
+    bracketing ranks.  They can sit in different blocks, so one
+    ``grouped_reduce`` (min for the low rank, max for the high rank)
+    combines the <= 2 picked rows per group before the interpolation."""
+    from .groupagg import grouped_reduce
+
+    def pick(t, run, c, n):
+        h = q * (n - 1.0)
+        lo, hi = np.floor(h) + 1.0, np.ceil(h) + 1.0   # 1-based ranks
+        is_lo = (run - c < lo) & (lo <= run)
+        is_hi = (run - c < hi) & (hi <= run)
+        keep = is_lo | is_hi
+        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        # NaN marks "not this rank": the min/max reduce skips it
+        return pa.table({group_col: t[group_col].filter(pa.array(keep)),
+                         "_lo": np.where(is_lo, v, np.nan)[keep],
+                         "_hi": np.where(is_hi, v, np.nan)[keep],
+                         "_f": (h - np.floor(h))[keep]})
+
+    picked = _quantile_plan(ds, group_col, value_col, None, pick)
+    red = grouped_reduce(picked, group_col,
+                         {"_lo": "_lo", "_hi": "_hi", "_f": "_f"},
+                         how={"_lo": "min", "_hi": "max", "_f": "max"})
+
+    def interpolate(t: pa.Table) -> pa.Table:
+        lo = t["_lo"].to_numpy(zero_copy_only=False)
+        hi = t["_hi"].to_numpy(zero_copy_only=False)
+        f = t["_f"].to_numpy(zero_copy_only=False)
+        return pa.table({group_col: t[group_col],
+                         out_col: pa.array(lo + f * (hi - lo), pa.float64())})
+
+    return red.map_batches(interpolate, batch_format="pyarrow")
 
 
 def filter_not_in(ds, col: str, values, broadcast_threshold: int = 10000):
@@ -629,74 +556,6 @@ def cube_aggregate(ds: ray.data.Dataset, keys: list,
                                    count_col=count_col, sentinel=sentinel)
 
 
-def exact_group_quantile_sorted(ds: ray.data.Dataset, group_col: str,
-                                value_col: str, q: float = 0.5,
-                                out_col: str = "quantile",
-                                weight_col: str | None = None
-                                ) -> ray.data.Dataset:
-    """Exact per-group quantile_disc at UNBOUNDED group cardinality — the
-    complement of ``exact_group_quantile`` (whose histogram refinement
-    keeps per-group driver state and is bounded by ``max_groups``).
-
-    ``weight_col`` (integer weights > 0) switches to the WEIGHTED
-    quantile: the smallest value whose cumulative weight (in value order)
-    reaches ceil(q * total_weight) — e.g. the quantity-weighted median
-    price.  Same machinery: per-(group, value) weight sums replace the
-    per-(group, value) row counts; the pick law is unchanged.
-
-    Order-statistic selection as a pure composition of scale paths,
-    DUPLICATE-SAFE (the carry-chain ops require unique keys, so the
-    selection runs over the DISTINCT (group, value) table):
-
-    1. (group, value, count) via ``grouped_reduce`` — one sort, unique
-       composite keys by construction;
-    2. cumulative count per group in value order via
-       ``group_running_sum`` (O(#blocks) carry chain);
-    3. per-group totals via ``grouped_reduce``, ONE hash join, and the
-       vectorized pick ``running - c < ceil(q*n) <= running``.
-
-    No per-group Python, no driver state — group count scales with the
-    data."""
-    from .groupagg import grouped_count, grouped_reduce
-    from .join import _join_partitions
-    from .window import group_running_sum
-
-    if weight_col is None:
-        cnts = grouped_count(ds.select_columns([group_col, value_col]),
-                             [group_col, value_col], out_col="_c")
-    else:
-        cnts = grouped_reduce(
-            ds.select_columns([group_col, value_col, weight_col])
-              .map_batches(lambda t: t.rename_columns(
-                  [group_col, value_col, "_c"]), batch_format="pyarrow"),
-            [group_col, value_col], {"_c": "_c"}, how="sum")
-    cnts = cnts.materialize()      # two consumers: running sum + totals
-    # both join inputs are reduce-derived (schema-less empty-block
-    # pitfall): coalesce each before the exchange
-    run = group_running_sum(cnts, group_col, [value_col], "_c",
-                            out_col="_run").repartition(_join_partitions())
-    totals = grouped_reduce(cnts, group_col, {"_c": "_n"}, how="sum") \
-        .repartition(_join_partitions())
-    j = join_safe(run, totals, join_type="inner",
-                 num_partitions=_join_partitions(), on=(group_col,))
-
-    def pick(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({group_col: t[group_col],
-                             out_col: pa.array([], pa.float64())})
-        n = t["_n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        rank = np.maximum(np.ceil(q * n), 1.0)
-        run_ = t["_run"].to_numpy(zero_copy_only=False).astype(np.float64)
-        c = t["_c"].to_numpy(zero_copy_only=False).astype(np.float64)
-        keep = (run_ - c < rank) & (rank <= run_)
-        kept = t.filter(pa.array(keep))
-        return pa.table({group_col: kept[group_col],
-                         out_col: pa.compute.cast(kept[value_col],
-                                                  pa.float64())})
-
-    return j.map_batches(pick, batch_format="pyarrow")
-
-
 def grouped_approx_quantile(ds: ray.data.Dataset, group_col: str,
                             value_col: str, id_col: str, q: float = 0.5,
                             k: int = 64,
@@ -711,11 +570,10 @@ def grouped_approx_quantile(ds: ray.data.Dataset, group_col: str,
     partitioning and cluster size, and reproducible in SQL with
     md5_number_upper + ROW_NUMBER, which is what makes it oracle-exact).
 
-    vs the exact paths: ``exact_group_quantile`` (bounded groups,
-    multi-pass) and ``exact_group_quantile_sorted`` (unbounded groups,
-    two sorts + join) — this one is ONE partial-top-k shuffle of k rows
-    per group per batch, the cheapest of the three, when approximate
-    rank is acceptable."""
+    vs the exact path ``exact_group_quantile`` (a sort of every distinct
+    (group, value) pair) — this one shuffles only k rows per group per
+    batch before that same plan runs over the sample, so it is the
+    cheaper choice when approximate rank is acceptable."""
     from .sampling import _md5_u64
 
     def hashed(t: pa.Table) -> pa.Table:
@@ -737,9 +595,8 @@ def grouped_approx_quantile(ds: ray.data.Dataset, group_col: str,
           .map_batches(flip, batch_format="pyarrow"),
         group_col, "_key", k=k, id_col=value_col, descending=False)
 
-    # quantile over the k-row-per-group sample via the unbounded-key
-    # order-statistic path (no per-group Python)
-    return exact_group_quantile_sorted(
+    # exact quantile_disc over the k-row-per-group sample
+    return exact_group_quantile(
         sampled.select_columns([group_col, value_col]),
         group_col, value_col, q=q, out_col=out_col)
 
@@ -1112,8 +969,8 @@ def group_gini(ds: ray.data.Dataset, group_col: str, value_col: str,
     source-mass concentration audits; dggrid4py has no analog).
 
     Tie-safe at unbounded group cardinality, no per-group Python: the
-    rank sum is folded over the DISTINCT (group, value, count) table (the
-    exact_group_quantile_sorted pattern) — a distinct value c with
+    rank sum is folded over the DISTINCT (group, value, count) table (as
+    exact_group_quantile does) — a distinct value c with
     multiplicity m and S strictly-smaller values in its group occupies
     ranks S+1..S+m, so sum(rank)*c = c*(m*S + m*(m+1)/2), invariant to
     how SQL's ROW_NUMBER breaks ties.  Shape: one grouped_count (sort) ->

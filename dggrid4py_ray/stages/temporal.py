@@ -905,7 +905,7 @@ def rolling_median_daily(ds: ray.data.Dataset, user_col: str, ts_col: str,
     holistic (dailies can't be folded like a rolling SUM), so the scale
     shape is bounded contribution expansion — each event row is emitted
     toward the <= W window-days it can serve (narrow (key, value) rows,
-    W-fold) — followed by ``exact_group_quantile_sorted`` on the packed
+    W-fold) — followed by ``exact_group_quantile`` on the packed
     (user, window_day) key (unbounded group cardinality, no per-group
     driver state) and one hash join against the distinct active-day set
     (a window day only reports if the user was active ON it, the SQL
@@ -918,7 +918,7 @@ def rolling_median_daily(ds: ray.data.Dataset, user_col: str, ts_col: str,
     from .bloom import _coalesce_for_join
     from .dedup import _join_partitions
     from .groupagg import grouped_count
-    from .relational import exact_group_quantile_sorted
+    from .relational import exact_group_quantile
 
     DAY = np.int64(86_400_000_000)
     M = np.int64(1) << 21
@@ -947,7 +947,7 @@ def rolling_median_daily(ds: ray.data.Dataset, user_col: str, ts_col: str,
         return pa.table({"_k": pa.array(u[rep] * M + d[rep] + off),
                          "_v": c})
 
-    meds = exact_group_quantile_sorted(
+    meds = exact_group_quantile(
         nds.map_batches(expand, batch_format="pyarrow"), "_k", "_v",
         q=0.5, out_col=out_col)
 

@@ -38,7 +38,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 def main():
     import ray
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False,
+        ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
     import ray.data
     ray.data.DataContext.get_current().enable_progress_bars = False

@@ -23,8 +23,8 @@ def main():
     ray.data.DataContext.get_current().enable_progress_bars = False
     sys.path.insert(0, "/root/repo")
 
-    # 1. exact_group_quantile_sorted: 10M rows, 1M groups (unbounded-key)
-    from dggrid4py_ray.stages.relational import exact_group_quantile_sorted
+    # 1. exact_group_quantile: 10M rows, 1M groups (unbounded-key)
+    from dggrid4py_ray.stages.relational import exact_group_quantile
 
     def gen_q(t: pa.Table) -> pa.Table:
         i = t["id"].to_numpy()
@@ -35,7 +35,7 @@ def main():
     ds = ray.data.range(10_000_000, override_num_blocks=64) \
         .map_batches(gen_q, batch_format="pyarrow")
     t0 = time.time()
-    n = exact_group_quantile_sorted(ds, "g", "v", q=0.5).count()
+    n = exact_group_quantile(ds, "g", "v", q=0.5).count()
     dt = time.time() - t0
     print(json.dumps({"check": "group_quantile_sorted_10M_1Mgroups",
                       "rows": 10_000_000, "groups_out": n,

@@ -1,7 +1,7 @@
-"""One aggregation path: the binning and rollup operators run the
-sort-then-reduce plan and never a Ray hash Aggregate.  ``ds.stats()``
-names every operator an execution ran, so a hash branch creeping back in
-shows up as an ``Aggregate`` operator."""
+"""One aggregation path: the binning, rollup and exact quantile operators
+run the sort-then-reduce plan and never a Ray hash Aggregate or Join.
+``ds.stats()`` names every operator an execution ran, so a hash branch
+creeping back in shows up as an ``Aggregate`` or ``Join`` operator."""
 
 import re
 
@@ -43,9 +43,30 @@ def _rollup(ds, grid):
                      "cell_id", ["v"], from_res=4, to_res=2)
 
 
-@pytest.mark.parametrize("build", [_presence, _spacetime, _rollup],
-                         ids=["bin_point_presence", "spacetime_bin",
-                              "rollup_z7"])
+def _quantile(ds, grid):
+    from dggrid4py_ray.stages.relational import exact_group_quantile
+    return exact_group_quantile(ds, "class_id", "v", q=0.5)
+
+
+def _quantile_cont(ds, grid):
+    from dggrid4py_ray.stages.relational import exact_group_quantile_cont
+    return exact_group_quantile_cont(ds, "class_id", "v", q=0.37)
+
+
+def _quantile_weighted(ds, grid):
+    from dggrid4py_ray.stages.relational import exact_group_quantile
+    weighted = ds.map_batches(lambda df: df.assign(w=df["v"] + 1),
+                              batch_format="pandas")
+    return exact_group_quantile(weighted, "class_id", "lat", q=0.5,
+                                weight_col="w")
+
+
+@pytest.mark.parametrize(
+    "build", [_presence, _spacetime, _rollup, _quantile, _quantile_cont,
+              _quantile_weighted],
+    ids=["bin_point_presence", "spacetime_bin", "rollup_z7",
+         "exact_group_quantile", "exact_group_quantile_cont",
+         "exact_group_quantile_weighted"])
 def test_aggregation_is_sort_then_reduce(ray_session, grid, build):
     import ray.data
     ds = ray.data.from_pandas(_points()).repartition(4)
@@ -53,5 +74,5 @@ def test_aggregation_is_sort_then_reduce(ray_session, grid, build):
     assert len(out.to_pandas()) > 0
     ops = re.findall(r"^\s*Operator \d+ ([^:]+):", out.stats(), re.M)
     assert ops
-    assert not [o for o in ops if "Aggregate" in o], ops
+    assert not [o for o in ops if "Aggregate" in o or "Join" in o], ops
     assert [o for o in ops if "Sort" in o], ops

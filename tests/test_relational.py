@@ -47,8 +47,9 @@ def test_exact_group_quantile(ray_session):
     df = pd.DataFrame({"g": rng.integers(0, 4, 5001),
                        "v": np.round(rng.normal(50, 20, 5001), 3)})
     for q in (0.1, 0.5, 0.9):
-        t = exact_group_quantile(_df_ds(ray_session, df), "g", "v", q=q)
-        got = dict(zip(t["g"].to_pylist(), t["quantile"].to_pylist()))
+        t = exact_group_quantile(_df_ds(ray_session, df), "g", "v",
+                                 q=q).to_pandas()
+        got = dict(zip(t["g"], t["quantile"]))
         for g, sub in df.groupby("g"):
             vals = np.sort(sub["v"].to_numpy())
             rank = int(np.ceil(q * len(vals))) - 1   # quantile_disc rule
@@ -91,8 +92,8 @@ def test_range_join_via_buckets_matches_broadcast(ray_session):
 
 
 def test_exact_group_quantile_degenerate(ray_session):
-    """ADVICE r3: constant groups, outlier-stretched ranges and mass
-    duplicates must not pull whole groups to the driver — and stay exact."""
+    """Constant groups, outlier-stretched ranges and mass duplicates stay
+    exact."""
     import ray.data
     import pandas as pd
     from dggrid4py_ray.stages.relational import exact_group_quantile
@@ -109,25 +110,13 @@ def test_exact_group_quantile_degenerate(ray_session):
     frames.append(pd.DataFrame({"g": "mass", "v": mass}))
     df = pd.concat(frames, ignore_index=True)
     ds = ray.data.from_pandas(df).repartition(6)
-    out = exact_group_quantile(ds, "g", "v", q=0.5,
-                               collect_threshold=256).to_pandas()
+    out = exact_group_quantile(ds, "g", "v", q=0.5).to_pandas()
     got = dict(zip(out["g"], out["quantile"]))
     # oracle: quantile_disc semantics, rank ceil(q*n)-1 on the sorted group
     for g, sub in df.groupby("g"):
         v = np.sort(sub["v"].to_numpy())
         exp = v[int(np.ceil(0.5 * len(v))) - 1]
         assert got[g] == exp, (g, got[g], exp)
-
-
-def test_exact_group_quantile_max_groups_guard(ray_session):
-    import ray.data
-    import pandas as pd
-    import pytest
-    from dggrid4py_ray.stages.relational import exact_group_quantile
-    df = pd.DataFrame({"g": np.arange(500), "v": np.arange(500, dtype=np.float64)})
-    with pytest.raises(ValueError, match="max_groups"):
-        exact_group_quantile(ray.data.from_pandas(df), "g", "v",
-                             max_groups=100)
 
 
 def test_knn_join_broadcast(ray_session):
@@ -182,17 +171,17 @@ def test_exact_group_quantile_cont_matches_numpy(ray_session):
     assert dict(zip(out2["g"], out2["quantile"])) == {"a": 7.0, "b": 3.0}
 
 
-def test_exact_group_quantile_sorted_unbounded_keys(ray_session):
+def test_exact_group_quantile_unbounded_keys(ray_session):
     import numpy as np
     import pandas as pd
     import ray.data
-    from dggrid4py_ray.stages.relational import exact_group_quantile_sorted
+    from dggrid4py_ray.stages.relational import exact_group_quantile
 
     rng = np.random.default_rng(8)
     df = pd.DataFrame({"g": rng.integers(0, 3000, 40000),   # many groups
                        "v": rng.normal(0, 10, 40000)})
     for q in (0.25, 0.5, 0.9):
-        out = exact_group_quantile_sorted(
+        out = exact_group_quantile(
             ray.data.from_pandas(df).repartition(9), "g", "v", q=q) \
             .to_pandas().sort_values("g", ignore_index=True)
         ref = df.groupby("g")["v"].quantile(q, interpolation="lower")
@@ -204,15 +193,15 @@ def test_exact_group_quantile_sorted_unbounded_keys(ray_session):
                            ref2.sort_index().to_numpy())
 
 
-def test_exact_group_quantile_sorted_duplicate_values(ray_session):
+def test_exact_group_quantile_duplicate_values(ray_session):
     import pandas as pd
     import ray.data
-    from dggrid4py_ray.stages.relational import exact_group_quantile_sorted
+    from dggrid4py_ray.stages.relational import exact_group_quantile
 
     df = pd.DataFrame({"g": ["a"] * 6 + ["b"],
                        "v": [5.0, 5.0, 5.0, 1.0, 9.0, 5.0, 2.0]})
-    out = exact_group_quantile_sorted(ray.data.from_pandas(df), "g", "v",
-                                      q=0.5).to_pandas()
+    out = exact_group_quantile(ray.data.from_pandas(df), "g", "v",
+                               q=0.5).to_pandas()
     got = dict(zip(out["g"], out["quantile"]))
     assert got == {"a": 5.0, "b": 2.0}
 
@@ -271,19 +260,63 @@ def test_salted_hash_join_equals_plain_join(ray_session):
             == ref[["k", "lv", "rv"]].to_numpy()).all()
 
 
-def test_exact_group_quantile_sorted_duplicates_span_blocks(ray_session):
-    import numpy as np
-    import pandas as pd
-    import ray.data
-    from dggrid4py_ray.stages.relational import exact_group_quantile_sorted
+def _weighted_disc(df, q):
+    """quantile_disc over weights: the smallest value whose cumulative
+    weight (in value order) reaches max(ceil(q * total), 1)."""
+    out = {}
+    for g, sub in df.groupby("g"):
+        d = sub.groupby("v")["w"].sum().sort_index()
+        cum = d.cumsum().to_numpy()
+        rank = max(np.ceil(q * cum[-1]), 1)
+        out[g] = float(d.index[np.searchsorted(cum, rank)])
+    return out
 
-    # one value duplicated 20k times in one group: duplicate (g, v) runs
-    # span many sorted blocks (the carry-chain unique-key hazard the
-    # distinct-table rewrite removes)
+
+def test_exact_group_quantile_duplicates_span_blocks(ray_session):
+    import pyarrow.compute as pc
+    import ray.data
+    from dggrid4py_ray.stages.groupagg import grouped_count
+    from dggrid4py_ray.stages.relational import (exact_group_quantile,
+                                                 exact_group_quantile_cont)
+
+    # group 0: one value duplicated 20k times (duplicate (g, v) runs span
+    # many input blocks); group 1: 1,000 distinct values; group 2: 160k
+    # distinct values, so its distinct (g, v) rows span many sorted blocks
+    # and the carry has to chain prefixes and totals across all of them
+    rng = np.random.default_rng(23)
     df = pd.DataFrame({
-        "g": np.r_[np.zeros(20000, np.int64), np.ones(1000, np.int64)],
-        "v": np.r_[np.full(20000, 5.0), np.arange(1000, dtype=np.float64)]})
-    out = exact_group_quantile_sorted(
-        ray.data.from_pandas(df).repartition(16), "g", "v", q=0.5) \
-        .to_pandas().sort_values("g", ignore_index=True)
-    assert list(out["quantile"]) == [5.0, 499.0]
+        "g": np.r_[np.zeros(20000, np.int64), np.ones(1000, np.int64),
+                   np.full(160000, 2, np.int64)],
+        "v": np.r_[np.full(20000, 5.0), np.arange(1000, dtype=np.float64),
+                   rng.permutation(160000).astype(np.float64)]})
+    df["w"] = rng.integers(1, 9, len(df))
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    try:
+        for block_bytes in (None, 64 * 1024):
+            if block_bytes is not None:
+                ctx.target_max_block_size = block_bytes
+                dist = grouped_count(ray.data.from_pandas(df).repartition(16)
+                                     .select_columns(["g", "v"]),
+                                     ["g", "v"]).materialize()
+                spans = dist.map_batches(
+                    lambda t: {"n": [pc.sum(pc.equal(t["g"], 2)).as_py() or 0]},
+                    batch_format="pyarrow", batch_size=None).to_pandas()
+                assert (spans["n"] > 0).sum() >= 50, spans["n"].tolist()
+            ds = ray.data.from_pandas(df).repartition(16)
+            for q in (0.25, 0.5, 0.9):
+                out = exact_group_quantile(ds, "g", "v", q=q).to_pandas()
+                want = {g: np.sort(sub["v"].to_numpy())[
+                            max(int(np.ceil(q * len(sub))), 1) - 1]
+                        for g, sub in df.groupby("g")}
+                assert dict(zip(out["g"], out["quantile"])) == want, q
+                out = exact_group_quantile(ds, "g", "v", q=q, out_col="m",
+                                           weight_col="w").to_pandas()
+                assert dict(zip(out["g"], out["m"])) == _weighted_disc(df, q)
+                out = exact_group_quantile_cont(ds, "g", "v", q=q) \
+                    .to_pandas().sort_values("g", ignore_index=True)
+                ref = df.groupby("g")["v"].quantile(q, interpolation="linear")
+                assert np.allclose(out["quantile"].to_numpy(),
+                                   ref.to_numpy(), rtol=1e-12, atol=1e-9), q
+    finally:
+        ctx.target_max_block_size = saved

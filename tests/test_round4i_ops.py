@@ -102,7 +102,7 @@ def _brute_weighted_median(g, v, w):
 
 
 def test_weighted_quantile_sorted_matches_bruteforce():
-    from dggrid4py_ray.stages.relational import exact_group_quantile_sorted
+    from dggrid4py_ray.stages.relational import exact_group_quantile
 
     rng = np.random.default_rng(9)
     g = rng.integers(0, 40, 4000)
@@ -110,24 +110,24 @@ def test_weighted_quantile_sorted_matches_bruteforce():
     w = rng.integers(1, 9, 4000)
     ds = ray.data.from_pandas(pd.DataFrame(
         {"g": g, "v": v, "w": w})).repartition(9)
-    got = exact_group_quantile_sorted(ds, "g", "v", q=0.5, out_col="m",
-                                      weight_col="w").to_pandas()
+    got = exact_group_quantile(ds, "g", "v", q=0.5, out_col="m",
+                               weight_col="w").to_pandas()
     want = _brute_weighted_median(g, v, w)
     assert dict(zip(got["g"], got["m"])) == want
 
 
 def test_weighted_quantile_all_ones_equals_unweighted():
-    from dggrid4py_ray.stages.relational import exact_group_quantile_sorted
+    from dggrid4py_ray.stages.relational import exact_group_quantile
 
     rng = np.random.default_rng(2)
     g = rng.integers(0, 30, 3000)
     v = rng.integers(0, 100, 3000)
     df = pd.DataFrame({"g": g, "v": v, "w": np.ones(3000, np.int64)})
     ds = ray.data.from_pandas(df).repartition(5)
-    a = exact_group_quantile_sorted(ds, "g", "v", q=0.25,
-                                    out_col="m").to_pandas()
-    b = exact_group_quantile_sorted(ds, "g", "v", q=0.25, out_col="m",
-                                    weight_col="w").to_pandas()
+    a = exact_group_quantile(ds, "g", "v", q=0.25,
+                             out_col="m").to_pandas()
+    b = exact_group_quantile(ds, "g", "v", q=0.25, out_col="m",
+                             weight_col="w").to_pandas()
     assert dict(zip(a["g"], a["m"])) == dict(zip(b["g"], b["m"]))
 
 
