@@ -646,16 +646,10 @@ def sessions_per_user(sf_dir: str):
                       order_col="event_id")
 
 
-def asof_events_markers(sf_dir: str):
-    """Broadcast as-of join: every event matched to the latest weekly
-    marker at or before its timestamp, then count + value mass per marker
-    (zero-shuffle join; cf. DuckDB ASOF JOIN oracle)."""
-    import datetime
-    from ..stages.temporal import asof_join_broadcast
-    ds = _read(sf_dir, "events", ["ts", "value"])
-    markers = [(k, datetime.datetime(2024, 1, 1) + datetime.timedelta(days=7 * k))
-               for k in range(5)]
-    joined = asof_join_broadcast(ds, markers, "ts")
+def _marker_mass(joined: ray.data.Dataset) -> ray.data.Dataset:
+    """Count + value mass per ``marker_id`` of an as-of join's output:
+    a per-batch (n, sum) partial folded by one ``grouped_reduce``."""
+    from ..stages.groupagg import grouped_reduce
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({"marker_id": t["marker_id"].to_numpy(zero_copy_only=False),
@@ -664,14 +658,28 @@ def asof_events_markers(sf_dir: str):
             n=("value", "size"), s=("value", "sum")).reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    agg = (joined.map_batches(partial, batch_format="pyarrow")
-                 .groupby("marker_id").aggregate(Sum("n", alias_name="n"),
-                                                 Sum("s", alias_name="s")))
+    agg = grouped_reduce(joined.map_batches(partial, batch_format="pyarrow"),
+                         "marker_id", {"n": "n", "s": "s"}, how="sum")
     return agg.map_batches(
         lambda t: pa.table({"marker_id": t["marker_id"], "n": t["n"],
                             "sum_value": _iscale(t["s"].to_numpy(zero_copy_only=False),
                                                  10000)}),
         batch_format="pyarrow")
+
+
+def asof_events_markers(sf_dir: str):
+    """As-of join (stages/temporal.asof_join, unkeyed): every event
+    matched to the latest of 5 weekly markers at or before its timestamp,
+    then count + value mass per marker (cf. DuckDB ASOF JOIN oracle)."""
+    import datetime
+    from ..stages.temporal import asof_join
+    ds = _read(sf_dir, "events", ["event_id", "ts", "value"])
+    markers = ray.data.from_items(
+        [{"marker_id": k,
+          "ts": datetime.datetime(2024, 1, 1) + datetime.timedelta(days=7 * k)}
+         for k in range(5)])
+    return _marker_mass(asof_join(ds, markers, "ts", "marker_id", "event_id",
+                                  keep_unmatched=False))
 
 
 def curation_pipeline(sf_dir: str):
@@ -784,13 +792,12 @@ def range_join_events_ll(sf_dir: str):
 
 
 def asof_events_markers_ll(sf_dir: str):
-    """LARGE-LARGE as-of join (stages/temporal.asof_join_via_buckets,
-    VERDICT r3 #5): markers are a Dataset derived from the event stream
-    itself (every event with event_id % 997 == 0), events matched to the
-    latest marker at or before their timestamp via daily-bucket cogroup +
-    broadcast carry table, then count + value mass per marker.  Oracle:
-    DuckDB ASOF JOIN on the same derived marker table."""
-    from ..stages.temporal import asof_join_via_buckets
+    """LARGE-LARGE as-of join (stages/temporal.asof_join, unkeyed):
+    markers are a Dataset derived from the event stream itself (every
+    event with event_id % 997 == 0), events matched to the latest marker
+    at or before their timestamp, then count + value mass per marker.
+    Oracle: DuckDB ASOF JOIN on the same derived marker table."""
+    from ..stages.temporal import asof_join
     ev = _read(sf_dir, "events", ["event_id", "ts", "value"])
 
     def mk_markers(t: pa.Table) -> pa.Table:
@@ -800,23 +807,8 @@ def asof_events_markers_ll(sf_dir: str):
                          "ts": t["ts"].filter(pa.array(sel))})
 
     mk = ev.map_batches(mk_markers, batch_format="pyarrow")
-    joined = asof_join_via_buckets(ev, mk, "ts", bucket_seconds=86400.0)
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"marker_id": t["marker_id"].to_numpy(zero_copy_only=False),
-                           "value": t["value"].to_numpy(zero_copy_only=False)})
-        g = df.groupby("marker_id", sort=False).agg(
-            n=("value", "size"), s=("value", "sum")).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    agg = (joined.map_batches(partial, batch_format="pyarrow")
-                 .groupby("marker_id").aggregate(Sum("n", alias_name="n"),
-                                                 Sum("s", alias_name="s")))
-    return agg.map_batches(
-        lambda t: pa.table({"marker_id": t["marker_id"], "n": t["n"],
-                            "sum_value": _iscale(t["s"].to_numpy(zero_copy_only=False),
-                                                 10000)}),
-        batch_format="pyarrow")
+    return _marker_mass(asof_join(ev, mk, "ts", "marker_id", "event_id",
+                                  keep_unmatched=False))
 
 
 def quantiles_by_flag(sf_dir: str):
@@ -5367,15 +5359,14 @@ def weighted_median_price_by_status(sf_dir: str):
 
 
 def asof_clicks_purchases(sf_dir: str):
-    """LARGE-LARGE per-KEY as-of join (stages/temporal.asof_join_keyed):
-    each purchase event matched to the same user's most recent click at
-    or before it — the attribution join, with BOTH sides unbounded (the
-    broadcast as-of needs a small right side; the bucket as-of has no
-    key).  One tagged-union range sort + the O(#blocks) LOCF carry; the
+    """LARGE-LARGE per-KEY as-of join (stages/temporal.asof_join keyed on
+    user_id): each purchase event matched to the same user's most recent
+    click at or before it — the attribution join, with BOTH sides
+    unbounded.  One tagged-union range sort + the O(#blocks) carry; the
     oracle is DuckDB's native keyed ASOF LEFT JOIN.  Right side is
     dedup-free by data contract (no duplicate (user, ts) clicks —
     verified; duplicates would make the SQL ASOF ambiguous too)."""
-    from ..stages.temporal import asof_join_keyed
+    from ..stages.temporal import asof_join
 
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
@@ -5387,9 +5378,8 @@ def asof_clicks_purchases(sf_dir: str):
         lambda t: t.filter(pc.equal(t["event_type"], "click"))
                    .select(["ts", "user_id", "value"]),
         batch_format="pyarrow")
-    out = asof_join_keyed(probes, clicks, key_col="user_id", ts_col="ts",
-                          right_val_col="value", left_id_col="event_id",
-                          out_col="click_value")
+    out = asof_join(probes, clicks, "ts", "value", "event_id",
+                    key_col="user_id", out_col="click_value")
     return out.map_batches(
         lambda t: t.select(["event_id", "user_id", "click_value"]),
         batch_format="pyarrow").sort("event_id")

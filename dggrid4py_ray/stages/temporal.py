@@ -12,10 +12,11 @@ these are part of the beyond-the-reference training-data surface:
 * sessionize — gap-based sessions per user: the shuffle is keyed on
   user_id (each user's events co-locate once), session boundaries are a
   vectorized diff inside the group.
-* asof_join_broadcast — each event matched to the latest marker at or
-  before its timestamp; the marker table is small, sorted once and
-  broadcast (ray.put + searchsorted per batch) — zero shuffle, the as-of
-  analog of stages/relational.range_join_broadcast.
+* asof_join — each left row matched to the latest right row at or
+  before its timestamp, optionally within the same key; both sides are
+  Datasets of any size.  One tagged-union range sort, a per-block
+  segmented scan and an O(#blocks) driver carry (window._tail_carry):
+  no join, no hash aggregate.
 """
 
 from __future__ import annotations
@@ -143,159 +144,104 @@ def sessionize(ds: ray.data.Dataset, user_col: str, ts_col: str,
     return interior.union(bfinal)
 
 
-def asof_join_broadcast(ds: ray.data.Dataset, markers, ts_col: str,
-                        out_col: str = "marker_id",
-                        keep_unmatched: bool = False) -> ray.data.Dataset:
-    """Match each row to the LATEST marker with marker_ts <= row ts.
-    ``markers``: list of (id, timestamp-like).  Rows before the first
-    marker get -1 (dropped unless keep_unmatched)."""
-    mk = sorted(markers, key=lambda x: np.datetime64(x[1]))
-    ids = np.array([int(m[0]) for m in mk], dtype=np.int64)
-    mts = np.array([np.datetime64(m[1], "us") for m in mk])
-    ref = ray.put((ids, mts))
+def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, ts_col: str,
+              val_col: str, id_col: str, key_col: str | None = None,
+              out_col: str | None = None,
+              keep_unmatched: bool = True) -> ray.data.Dataset:
+    """As-of join: every ``left`` column plus ``out_col`` (default
+    ``val_col``), the ``val_col`` of the latest ``right`` row with
+    ``right.ts <= left.ts`` (of the same ``key_col`` when given) — DuckDB
+    ``ASOF LEFT JOIN ... ON l.key = r.key AND l.ts >= r.ts``.  Both sides
+    are Datasets of any size and key cardinality; the right side names
+    its timestamp ``ts_col`` too.  The value keeps its Arrow type and its
+    nulls: a matched right row whose value is null yields null (the
+    nearest row wins; it does not fall through to an older non-null
+    one).  Left rows with no right row at or before them get null, or
+    are dropped when ``keep_unmatched=False`` (ASOF INNER).
 
-    class Assign:
-        def __init__(self):
-            self.ids, self.mts = ray.get(ref)
+    Contract: ``ts_col`` is non-null on both sides; ``id_col`` is unique
+    on the left; (key, ts) is unique on the right (a duplicate makes the
+    match ambiguous, in SQL too) and raises ``ValueError``; ``out_col``
+    names no left column.
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ts = t[ts_col].to_numpy(zero_copy_only=False).astype("datetime64[us]")
-            pos = np.searchsorted(self.mts, ts, side="right") - 1
-            ok = pos >= 0
-            out = np.where(ok, self.ids[np.clip(pos, 0, len(self.ids) - 1)], -1)
-            res = t.append_column(out_col, pa.array(out, type=pa.int64()))
-            if not keep_unmatched:
-                res = res.filter(pa.array(ok))
-            return res
+    Plan — one tagged-union range sort plus an O(#blocks) carry:
 
-    return ds.map_batches(Assign, batch_format="pyarrow", concurrency=(1, 4))
+    1. left rows keep their columns with ``_tag`` 1; right rows become
+       rows of the same schema with ``_tag`` 0, the key and ts filled and
+       (ts, value) packed in ``_r``;
+    2. ONE ``sort([key, ts, _tag, id])``: at equal ts the right row
+       sorts first, so the match is inclusive;
+    3. per sorted block, each left row takes ``_r`` of the last right row
+       before it in its key (a segmented running-max index, then
+       ``take``); the block's first key is seeded with the last right row
+       of the blocks before it, carried down the driver chain by
+       ``window._tail_carry`` — never O(#keys) driver state."""
+    import pyarrow.compute as pc
 
+    from .window import _first_key, _group_codes, _last_selected, _tail_carry
 
-def asof_join_via_buckets(events: ray.data.Dataset, markers: ray.data.Dataset,
-                          ts_col: str, marker_ts_col: str = "ts",
-                          marker_id_col: str = "marker_id",
-                          out_col: str = "marker_id",
-                          bucket_seconds: float = 86400.0,
-                          keep_unmatched: bool = False) -> ray.data.Dataset:
-    """LARGE-LARGE as-of join (VERDICT r3 #5): each event matched to the
-    LATEST marker with marker_ts <= event_ts, with BOTH sides as Datasets
-    (the broadcast variant needs the marker table driver-small).
+    out_col = out_col or val_col
+    ls = left.schema()
+    lfields = list(zip(ls.names, ls.types))
+    ltypes = dict(lfields)
+    if out_col in ltypes:
+        raise ValueError(f"asof_join: out_col {out_col!r} is a left column")
+    rs = right.schema()
+    vtype = dict(zip(rs.names, rs.types))[val_col]
+    rtype = pa.struct([("ts", ltypes[ts_col]), ("v", vtype)])
+    keys = ([key_col] if key_col else []) + [ts_col, "_tag", id_col]
 
-    Ray shape — time-bucket cogroup + a tiny carry table:
-
-    1. both sides get ``floor(ts / bucket_seconds)``;
-    2. the marker side reduces to one row per bucket (its last marker:
-       max (ts, id)) via a per-batch partial + per-bucket final — the
-       result is answer-sized (time_range / bucket, e.g. ~9k rows for
-       25 years of hourly buckets) and becomes the broadcast CARRY table:
-       for bucket b, the latest marker in any bucket < b by searchsorted;
-    3. events and markers cogroup per bucket (one hash shuffle keyed on
-       the bucket); inside each group a vectorized sort + forward-fill
-       resolves events against local markers, and events before every
-       local marker fall back to the carry table.  Exact: the latest
-       marker <= t is either in t's bucket or is the carry-in.
-
-    Events with no marker at or before them get -1 (dropped unless
-    ``keep_unmatched``).  Marker-ts ties resolve to the larger marker id
-    (deterministic)."""
-    w_us = np.int64(int(bucket_seconds * 1e6))
-
-    def m_project(t: pa.Table) -> pa.Table:
-        mts = t[marker_ts_col].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").view(np.int64)
-        mid = t[marker_id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"_ab": pa.array(mts // w_us), "_mts": pa.array(mts),
-                         "_mid": pa.array(mid)})
-
-    mk = markers.map_batches(m_project, batch_format="pyarrow")
-
-    # per-bucket last marker: per-batch partial keeps one row per bucket,
-    # the final per-bucket max runs over partials only
-    def m_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"_ab": t["_ab"].to_numpy(zero_copy_only=False),
-                           "_mts": t["_mts"].to_numpy(zero_copy_only=False),
-                           "_mid": t["_mid"].to_numpy(zero_copy_only=False)})
-        g = df.sort_values(["_mts", "_mid"]).groupby("_ab", sort=True).tail(1)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def m_final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["_mts", "_mid"]).tail(1)
-
-    last = mk.map_batches(m_partial, batch_format="pyarrow") \
-        .groupby("_ab").map_groups(m_final, batch_format="pandas").to_pandas()
-    last = last.sort_values("_ab")
-    cb = last["_ab"].to_numpy(dtype=np.int64)
-    cts = last["_mts"].to_numpy(dtype=np.int64)
-    cid = last["_mid"].to_numpy(dtype=np.int64)
-    carry_ref = ray.put((cb, cts, cid))
-
-    # union schema: event columns + (_ab, _ats, _mts, _mid, _kind)
-    _s = events.schema()          # ray.data Schema wrapper
-    ev_fields = list(zip(_s.names, _s.types))
-
-    def e_project(t: pa.Table) -> pa.Table:
-        ts = t[ts_col].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").view(np.int64)
+    def l_union(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        return (t.append_column("_ab", pa.array(ts // w_us))
-                 .append_column("_ats", pa.array(ts))
-                 .append_column("_mts", pa.array(np.full(n, -1, dtype=np.int64)))
-                 .append_column("_mid", pa.array(np.full(n, -1, dtype=np.int64)))
-                 .append_column("_kind", pa.array(np.ones(n, dtype=np.int8))))
+        return (t.append_column("_tag", pa.array(np.ones(n, np.int8)))
+                 .append_column("_r", pa.nulls(n, rtype)))
 
-    def m_union(t: pa.Table) -> pa.Table:
+    def r_union(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        cols = {name: pa.nulls(n, type=typ) for name, typ in ev_fields}
-        cols["_ab"] = t["_ab"]
-        cols["_ats"] = t["_mts"]          # sort key: marker sorts by its ts
-        cols["_mts"] = t["_mts"]
-        cols["_mid"] = t["_mid"]
-        cols["_kind"] = pa.array(np.zeros(n, dtype=np.int8))
+        cols = {name: pa.nulls(n, typ) for name, typ in lfields}
+        cols[ts_col] = t[ts_col].cast(ltypes[ts_col])
+        if key_col:
+            cols[key_col] = t[key_col].cast(ltypes[key_col])
+        cols["_tag"] = pa.array(np.zeros(n, np.int8))
+        cols["_r"] = pa.StructArray.from_arrays(
+            [cols[ts_col].combine_chunks(), t[val_col].combine_chunks()],
+            fields=list(rtype))
         return pa.table(cols)
 
-    ev = events.map_batches(e_project, batch_format="pyarrow")
-    mku = mk.map_batches(m_union, batch_format="pyarrow")
-    both = ev.union(mku)
+    srt = left.map_batches(l_union, batch_format="pyarrow").union(
+        right.map_batches(r_union, batch_format="pyarrow")) \
+        .sort(keys).materialize()
+    tails_ref = _tail_carry(srt, keys, key_col, "_r", k=1,
+                            keep=lambda t: _tags(t) == 0)
 
-    drop_cols = ["_ab", "_ats", "_mts", "_mid", "_kind"]
+    def match(t: pa.Table) -> pa.Table:
+        tag = _tags(t)
+        out = t.filter(pa.array(tag == 1)).drop_columns(["_tag", "_r"])
+        if t.num_rows == 0:
+            return out.append_column(out_col, pa.array([], vtype))
+        # the carried right row enters as a virtual first row of the
+        # block's first key
+        seed = ray.get(tails_ref)[repr(_first_key(t, keys))]
+        p = len(seed)
+        g = _group_codes(t, key_col)
+        g = np.concatenate([np.repeat(g[:1], p), g])
+        is_r = np.r_[np.ones(p, bool), tag == 0]
+        r = pa.concat_arrays([seed, t["_r"].combine_chunks()])
+        ri = np.flatnonzero(is_r)
+        rts = pc.struct_field(r.take(ri), "ts").to_numpy(zero_copy_only=False)
+        if ((g[ri[1:]] == g[ri[:-1]]) & (rts[1:] == rts[:-1])).any():
+            raise ValueError("asof_join requires unique (key, ts) on the "
+                             "right side")
+        pos = _last_selected(g, is_r)[p:][~is_r[p:]]
+        val = pc.struct_field(r.take(pa.array(pos, mask=pos < 0)), "v")
+        out = out.append_column(out_col, val)
+        return out if keep_unmatched else out.filter(pa.array(pos >= 0))
 
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        # markers (kind 0) sort before events at equal ts -> inclusive <=
-        g = g.sort_values(["_ats", "_kind", "_mid"], kind="stable")
-        mts = g["_mts"].to_numpy(dtype=np.int64)
-        mid = g["_mid"].to_numpy(dtype=np.int64)
-        is_m = (g["_kind"].to_numpy() == 0)
-        # forward-fill the last marker id over the sorted rows
-        idx = np.where(is_m, np.arange(len(g)), -1)
-        ff = np.maximum.accumulate(idx)
-        assigned = np.where(ff >= 0, mid[np.clip(ff, 0, None)], -1)
-        ev_rows = ~is_m
-        out = g.loc[ev_rows].copy()
-        a = assigned[ev_rows]
-        # events before every local marker: carry-in from earlier buckets
-        need = a < 0
-        if need.any():
-            cb_, cts_, cid_ = ray.get(carry_ref)
-            b = int(g["_ab"].iloc[0])
-            pos = np.searchsorted(cb_, b) - 1    # latest bucket < b
-            if pos >= 0:
-                a[need] = cid_[pos]
-        out[out_col] = a
-        out = out.drop(columns=[c for c in drop_cols if c != out_col])
-        # the union's null marker rows coerce integer event columns to
-        # float in pandas — restore the event schema dtypes
-        for name, typ in ev_fields:
-            if pa.types.is_integer(typ) and name in out.columns:
-                out[name] = out[name].astype(typ.to_pandas_dtype())
-        return out
+    return srt.map_batches(match, batch_format="pyarrow")
 
-    res = both.groupby("_ab").map_groups(fill, batch_format="pandas")
-    if keep_unmatched:
-        return res
-    import pyarrow.compute as pc
-    return res.map_batches(
-        lambda t: t.filter(pc.greater_equal(t[out_col], 0)),
-        batch_format="pyarrow")
+
+def _tags(t: pa.Table) -> np.ndarray:
+    return t["_tag"].to_numpy(zero_copy_only=False)
 
 
 def funnel_stages(events: ray.data.Dataset, steps: list[str],
@@ -648,112 +594,6 @@ def cusum_changepoint(ds: ray.data.Dataset, key: str, order_cols: list,
                             **{c: t[c] for c in order_cols},
                             "cusum": t["_cusum"],
                             "n": pc.cast(t["_n"], pa.int64())}),
-        batch_format="pyarrow")
-
-
-def asof_join_keyed(left: ray.data.Dataset, right: ray.data.Dataset,
-                    key_col: str, ts_col: str, right_val_col: str,
-                    left_id_col: str, out_col: str = "asof_val",
-                    keep_unmatched: bool = True) -> ray.data.Dataset:
-    """LARGE-LARGE per-KEY as-of join — each left row matched to the
-    right row of the SAME key with the greatest ts <= left.ts (DuckDB
-    ``ASOF LEFT JOIN ... ON l.key = r.key AND l.ts >= r.ts`` semantics)
-    with BOTH sides as Datasets of unbounded size and key cardinality.
-    The attribution join ("latest prior click per user for this
-    purchase") that neither the broadcast as-of (small right) nor the
-    global bucket as-of (no key) covers.
-
-    Ray shape — the classic distributed sort-merge as-of expressed as a
-    TAGGED UNION + one LOCF carry chain (``window.group_fill_forward``):
-
-    1. both sides project to (key, ts, tag, uid, val): right rows tag 0
-       carrying val, left rows tag 1 with val null;
-    2. ONE range sort on (key, ts, tag, uid) — at equal ts the right row
-       sorts first, making the match inclusive;
-    3. forward-fill val within key (vectorized segmented scan per block
-       + the O(#blocks) tail carry — never O(#keys) driver state);
-    4. keep tag-1 rows: each left row now holds the last right val at or
-       before its ts.  Output (left_id, key, ts, out_col).
-
-    RIGHT side contract: unique (key, ts) pairs (dedupe upstream —
-    duplicate right timestamps make ASOF value selection ambiguous in
-    SQL too).  Left rows with no prior right row keep a NULL ``out_col``
-    (dropped when ``keep_unmatched=False`` — DuckDB ASOF INNER vs LEFT).
-    A right row whose value is NULL still MATCHES and the probe returns
-    NULL, exactly like DuckDB ASOF (the nearest row wins even when its
-    value is null; it does not fall through to an older non-null row):
-    the carry chain fills the matched right row's TIMESTAMP (always
-    valid), and values — nulls included — are fetched by one hash join
-    on (key, matched_ts) afterwards.  Timestamps ride the float64 carry,
-    exact while |ts as int64| < 2**53 (us epochs until year ~2255) —
-    guarded."""
-    import pyarrow.compute as pc
-
-    from .bloom import _coalesce_for_join
-    from .dedup import _join_partitions
-    from .window import group_fill_forward
-
-    def _ts_i64(col) -> np.ndarray:
-        a = col.to_numpy(zero_copy_only=False)
-        if np.issubdtype(a.dtype, np.datetime64):
-            a = a.astype("datetime64[us]").astype(np.int64)
-        else:
-            a = a.astype(np.int64)
-        if len(a) and np.abs(a).max() >= 2 ** 53:
-            raise ValueError("asof_join_keyed: |ts| >= 2**53 cannot ride "
-                             "the float64 carry exactly; rescale upstream")
-        return a
-
-    def l_project(t: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: t[key_col],
-            ts_col: t[ts_col],
-            "_tag": pa.array(np.ones(t.num_rows, np.int8)),
-            "_uid": t[left_id_col].cast(pa.int64()),
-            "_mts": pa.nulls(t.num_rows, pa.float64())})
-
-    def r_project(t: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: t[key_col],
-            ts_col: t[ts_col],
-            "_tag": pa.array(np.zeros(t.num_rows, np.int8)),
-            "_uid": pa.array(np.full(t.num_rows, -1, np.int64)),
-            "_mts": pa.array(_ts_i64(t[ts_col]).astype(np.float64))})
-
-    u = left.map_batches(l_project, batch_format="pyarrow").union(
-        right.map_batches(r_project, batch_format="pyarrow"))
-    filled = group_fill_forward(u, key_col, [ts_col, "_tag", "_uid"],
-                                "_mts", out_col="_mts")
-
-    def probe_rows(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["_tag"], 1)
-        kept = t.filter(m)
-        mts = kept["_mts"].combine_chunks() if isinstance(
-            kept["_mts"], pa.ChunkedArray) else kept["_mts"]
-        out = pa.table({left_id_col: kept["_uid"],
-                        key_col: kept[key_col],
-                        ts_col: kept[ts_col],
-                        "_mts_i": mts.cast(pa.int64())})
-        if not keep_unmatched:
-            out = out.filter(pc.is_valid(out["_mts_i"]))
-        return out
-
-    probes = filled.map_batches(probe_rows, batch_format="pyarrow")
-
-    def r_vals(t: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: t[key_col],
-            "_mts_i": pa.array(_ts_i64(t[ts_col])),
-            out_col: t[right_val_col].cast(pa.float64())})
-
-    rv = right.map_batches(r_vals, batch_format="pyarrow")
-    parts = _join_partitions()
-    probes, _ = _coalesce_for_join(probes, parts)
-    rv, _ = _coalesce_for_join(rv, parts)
-    joined = join_safe(probes, rv, join_type="left_outer", num_partitions=parts,
-                         on=(key_col, "_mts_i"))
-    return joined.map_batches(
-        lambda t: t.select([left_id_col, key_col, ts_col, out_col]),
         batch_format="pyarrow")
 
 

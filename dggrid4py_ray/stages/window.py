@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from .join import join_safe
@@ -341,62 +342,102 @@ def group_rank(ds: ray.data.Dataset, group_col: str, order_col: str,
                    right_on=(group_col, "_ord"))
 
 
-def _tail_carry(srt: ray.data.Dataset, keys: list, group_col: str,
-                value_col: str, k: int, dropna: bool = False):
+def _group_codes(t: pa.Table, group_col: str | None) -> np.ndarray:
+    """The group column as numpy; ``None`` makes the whole table one
+    group."""
+    if group_col is None:
+        return np.zeros(t.num_rows, np.int8)
+    return t[group_col].to_numpy(zero_copy_only=False)
+
+
+def _last_selected(g: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Per row, the index of the last ``sel`` row at or before it within
+    its run of equal ``g`` (-1 if none): a segmented running max of the
+    selected index — monotone segment bases make one global
+    ``maximum.accumulate`` exact per segment.  ``g`` must be non-empty."""
+    n = len(g)
+    base = (np.cumsum(np.r_[True, g[1:] != g[:-1]]) - 1) * (n + 1)
+    idx = np.where(sel, np.arange(n), -1)
+    return np.maximum.accumulate(base + idx + 1) - base - 1
+
+
+def _tail_carry(srt: ray.data.Dataset, keys: list, group_col: str | None,
+                value_col: str, k: int, keep=None):
     """Shared machinery for bounded-frame windows (LAG k / ROWS k-1
-    PRECEDING): per sorted block, carry the last <=k VALUES of the
-    block's LAST group down the O(#blocks) driver chain, so each block
-    knows the frame prefix entering its FIRST group.  Returns an object
-    ref to {block_first_key_repr: np.ndarray tail}.  Same unique-key
-    requirement as ``group_running_sum``.  ``dropna=True`` carries the
-    last <=k NON-NULL values (the LAST_VALUE IGNORE NULLS frame) — an
-    all-null tail segment then carries the incoming tail through."""
+    PRECEDING) and last-row carries: per sorted block, carry the last <=k
+    values of the block's LAST group down the O(#blocks) driver chain, so
+    each block knows the frame prefix entering its FIRST group.  Returns
+    an object ref to {block_first_key_repr: pa.Array tail}; a tail keeps
+    ``value_col``'s Arrow type and its nulls.  ``keep`` (block -> numpy
+    boolean mask) restricts the carry to the selected rows (the last
+    non-null value for ``group_fill_forward``, the last right row for
+    ``temporal.asof_join``); a last group with no selected row carries
+    the incoming tail through.  ``group_col=None`` makes the whole order
+    one group.  Same unique-key requirement as ``group_running_sum``."""
 
     def summarize(t: pa.Table) -> pa.Table:
-        _require_clean_groups(t, group_col, "bounded-frame window")
+        if group_col is not None:
+            _require_clean_groups(t, group_col, "bounded-frame window")
         cols = {f"_k{i}": t[c].slice(0, min(1, t.num_rows))
                 for i, c in enumerate(keys)}
+        vtype = t.schema.field(value_col).type
         if t.num_rows == 0:
             cols.update({"_key": pa.array([], pa.string()),
                          "_first_g": pa.array([], pa.string()),
                          "_last_g": pa.array([], pa.string()),
-                         "_tail": pa.array([], pa.list_(pa.float64()))})
+                         "_tail": pa.array([], pa.list_(vtype))})
             return pa.table(cols)
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        g = _group_codes(t, group_col)
         last_start = 0 if g[0] == g[-1] else \
             int(np.flatnonzero(g[:-1] != g[1:])[-1] + 1)
-        seg = v[last_start:]
-        if dropna:
-            seg = seg[~np.isnan(seg)]
+        last = t.slice(last_start)
+        seg = last[value_col].combine_chunks()
+        if keep is not None:
+            seg = seg.filter(pa.array(keep(last)))
+        seg = seg.slice(max(len(seg) - k, 0))
         cols.update({
             "_key": pa.array([repr(_first_key(t, keys))]),
             "_first_g": pa.array([str(g[0])]),
             "_last_g": pa.array([str(g[-1])]),
-            "_tail": pa.array([seg[-k:].tolist()],
-                              pa.list_(pa.float64())),
+            "_tail": pa.ListArray.from_arrays(
+                pa.array([0, len(seg)], pa.int32()), seg),
         })
         return pa.table(cols)
 
-    summ = srt.map_batches(summarize, batch_format="pyarrow").to_pandas()
-    if "_key" in summ.columns:
-        summ = summ.sort_values([f"_k{i}" for i in range(len(keys))],
-                                ignore_index=True)
-    # else: a fully empty input sorted to ZERO blocks — to_pandas has no
-    # columns and there are no offsets to fold
+    blocks = [b for b in srt.map_batches(summarize, batch_format="pyarrow")
+              .iter_batches(batch_size=None, batch_format="pyarrow")
+              if b.num_rows]
     tails = {}
-    carry_g, carry_t = None, np.zeros(0, np.float64)
-    for _, r in summ.iterrows():
-        inc = carry_t if r["_first_g"] == carry_g else np.zeros(0, np.float64)
-        if r["_key"] in tails:
+    if not blocks:          # a fully empty input sorts to zero blocks
+        return ray.put(tails)
+    # an all-null block may type its tail as null: promote to the others
+    summ = pa.concat_tables(blocks, promote_options="default")
+    # blocks tile the sorted order, so ordering the block summaries by
+    # their typed first-row key IS the global block order
+    summ = summ.take(pc.sort_indices(
+        summ, [(f"_k{i}", "ascending") for i in range(len(keys))],
+        null_placement="at_end"))
+    col = summ["_tail"].combine_chunks()
+    flat, off = col.flatten(), col.offsets.to_numpy()
+    carry_g, carry_t = None, flat.slice(0, 0)
+    for i, (key, first_g, last_g) in enumerate(zip(
+            summ["_key"].to_pylist(), summ["_first_g"].to_pylist(),
+            summ["_last_g"].to_pylist())):        # O(#blocks) driver rows
+        inc = carry_t if first_g == carry_g else flat.slice(0, 0)
+        if key in tails:
             raise ValueError("bounded-frame windows require unique "
-                             f"(group, order) keys; duplicate {r['_key']}")
-        tails[r["_key"]] = inc
-        block_tail = np.asarray(r["_tail"], np.float64)
-        carry_t = (np.concatenate([inc, block_tail])[-k:]
-                   if r["_first_g"] == r["_last_g"] else block_tail)
-        carry_g = r["_last_g"]
+                             f"(group, order) keys; duplicate {key}")
+        tails[key] = inc
+        block_tail = flat.slice(off[i], off[i + 1] - off[i])
+        if first_g == last_g:
+            block_tail = pa.concat_arrays([inc, block_tail])
+        carry_t = block_tail.slice(max(len(block_tail) - k, 0))
+        carry_g = last_g
     return ray.put(tails)
+
+
+def _f64(a) -> np.ndarray:
+    return a.to_numpy(zero_copy_only=False).astype(np.float64)
 
 
 def group_shift(ds: ray.data.Dataset, group_col: str, order_cols: list,
@@ -416,9 +457,9 @@ def group_shift(ds: ray.data.Dataset, group_col: str, order_cols: list,
     def local(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return t.append_column(out_col, pa.array([], pa.float64()))
-        tail = ray.get(tails_ref)[repr(_first_key(t, keys))]
+        tail = _f64(ray.get(tails_ref)[repr(_first_key(t, keys))])
         g = t[group_col].to_numpy(zero_copy_only=False)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        v = _f64(t[value_col])
         p = len(tail)
         g2 = np.concatenate([np.repeat(g[:1], p), g])
         v2 = np.concatenate([tail, v])
@@ -450,17 +491,15 @@ def group_rolling_mean(ds: ray.data.Dataset, group_col: str,
     keys = [group_col] + list(order_cols)
     srt = ds.sort(keys).materialize()
     tails_ref = _tail_carry(srt, keys, group_col, value_col, window - 1) \
-        if window > 1 else ray.put({})
+        if window > 1 else None
 
     def local(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return t.append_column(out_col, pa.array([], pa.float64()))
-        tails = ray.get(tails_ref)
-        tail = tails.get(repr(_first_key(t, keys)),
-                         np.zeros(0, np.float64)) if window > 1 \
-            else np.zeros(0, np.float64)
+        tail = _f64(ray.get(tails_ref)[repr(_first_key(t, keys))]) \
+            if window > 1 else np.zeros(0, np.float64)
         g = t[group_col].to_numpy(zero_copy_only=False)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        v = _f64(t[value_col])
         p = len(tail)
         g2 = np.concatenate([np.repeat(g[:1], p), g])
         v2 = np.concatenate([tail, v])
@@ -533,14 +572,14 @@ def group_fill_forward(ds: ray.data.Dataset, group_col: str,
     group (LOCF gap-filling for resampled series).  One range sort; per
     block a vectorized segmented running-max index scan (no Python per
     row); the cross-block seam carries each block's last non-null value
-    of its last group down the O(#blocks) driver chain
-    (``_tail_carry(dropna=True)``).  Rows before a group's first
+    of its last group down the O(#blocks) driver chain (``_tail_carry``
+    keeping the observed rows).  Rows before a group's first
     observation stay null.  Unique (group, *order) keys required."""
     out_col = out_col or value_col
     keys = [group_col] + list(order_cols)
     srt = ds.sort(keys).materialize()
     tails_ref = _tail_carry(srt, keys, group_col, value_col, k=1,
-                            dropna=True)
+                            keep=lambda t: ~np.isnan(_f64(t[value_col])))
 
     def local_fill(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -551,24 +590,15 @@ def group_fill_forward(ds: ray.data.Dataset, group_col: str,
                 return t.set_column(t.schema.get_field_index(value_col),
                                     value_col, empty)
             return t.append_column(out_col, empty)
-        tails = ray.get(tails_ref)
+        # the carried observation enters as a virtual first row of the
+        # block's first group
+        seed = _f64(ray.get(tails_ref)[repr(_first_key(t, keys))])
+        p = len(seed)
         g = t[group_col].to_numpy(zero_copy_only=False)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        n = len(g)
-        new_seg = np.r_[True, g[1:] != g[:-1]]
-        seg_id = np.cumsum(new_seg) - 1
-        idx = np.where(~np.isnan(v), np.arange(n), -1)
-        # segmented running max of the last-valid index: monotone segment
-        # bases make one global maximum.accumulate per-segment exact
-        acc = np.maximum.accumulate(seg_id * (n + 1) + idx + 1)
-        pos = acc - seg_id * (n + 1) - 1
-        filled = np.where(pos >= 0, v[np.clip(pos, 0, n - 1)], np.nan)
-        seed = tails[repr(_first_key(t, keys))]
-        if len(seed):
-            first_end = int(np.flatnonzero(new_seg[1:])[0] + 1) \
-                if new_seg[1:].any() else n
-            head = filled[:first_end]
-            filled[:first_end] = np.where(np.isnan(head), seed[-1], head)
+        v = np.concatenate([seed, _f64(t[value_col])])
+        pos = _last_selected(np.concatenate([np.repeat(g[:1], p), g]),
+                             ~np.isnan(v))[p:]
+        filled = np.where(pos >= 0, v[pos], np.nan)
         # unfilled rows (no observation yet) are REAL nulls, matching the
         # SQL LAST_VALUE IGNORE NULLS contract (NaN data inputs count as
         # missing, exactly like pandas ffill)

@@ -8,12 +8,14 @@ Usage: python experiments/check_correctness.py [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SF_DIR = "/root/testdata/sf0.01"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
@@ -38,12 +40,14 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 def main():
     import ray
     if not ray.is_initialized():
+        # workers import the package too: export the repo root to them
         ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+                 logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
     import ray.data
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as e
 
     qs = e.queries()

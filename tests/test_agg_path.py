@@ -1,5 +1,6 @@
-"""One aggregation path: the binning, rollup and exact quantile operators
-run the sort-then-reduce plan and never a Ray hash Aggregate or Join.
+"""One aggregation path: the binning, rollup, exact quantile and as-of
+join operators run a sort-then-reduce plan and never a Ray hash Aggregate
+or Join.
 ``ds.stats()`` names every operator an execution ran, so a hash branch
 creeping back in shows up as an ``Aggregate`` or ``Join`` operator."""
 
@@ -61,12 +62,30 @@ def _quantile_weighted(ds, grid):
                                 weight_col="w")
 
 
+def _asof(ds, grid, key_col=None):
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    df = ds.to_pandas()
+    left = ray.data.from_pandas(df.assign(id=np.arange(len(df)))) \
+        .repartition(4)
+    nk = 4 if key_col else 1            # right (key, ts) must be unique
+    days = pd.date_range("2024-01-01", periods=60, freq="D")
+    right = ray.data.from_pandas(pd.DataFrame({
+        "class_id": np.tile(np.arange(nk), 60), "ts": np.repeat(days, nk),
+        "m": np.arange(60 * nk)})).repartition(3)
+    return asof_join(left, right, "ts", "m", "id", key_col=key_col)
+
+
+def _asof_keyed(ds, grid):
+    return _asof(ds, grid, key_col="class_id")
+
+
 @pytest.mark.parametrize(
     "build", [_presence, _spacetime, _rollup, _quantile, _quantile_cont,
-              _quantile_weighted],
+              _quantile_weighted, _asof, _asof_keyed],
     ids=["bin_point_presence", "spacetime_bin", "rollup_z7",
          "exact_group_quantile", "exact_group_quantile_cont",
-         "exact_group_quantile_weighted"])
+         "exact_group_quantile_weighted", "asof_join", "asof_join_by_key"])
 def test_aggregation_is_sort_then_reduce(ray_session, grid, build):
     import ray.data
     ds = ray.data.from_pandas(_points()).repartition(4)

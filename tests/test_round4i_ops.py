@@ -131,55 +131,6 @@ def test_weighted_quantile_all_ones_equals_unweighted():
     assert dict(zip(a["g"], a["m"])) == dict(zip(b["g"], b["m"]))
 
 
-# ------------------------------------------------------- asof_join_keyed
-
-def test_asof_join_keyed_matches_merge_asof():
-    from dggrid4py_ray.stages.temporal import asof_join_keyed
-
-    rng = np.random.default_rng(21)
-    nl, nr = 2000, 1500
-    left = pd.DataFrame({
-        "id": np.arange(nl, dtype=np.int64),
-        "k": rng.integers(0, 50, nl),
-        "t": rng.integers(0, 100_000, nl).astype(np.int64)})
-    right = pd.DataFrame({
-        "k": rng.integers(0, 60, nr),   # some keys have no left rows
-        "t": rng.integers(0, 100_000, nr).astype(np.int64),
-        "v": rng.normal(size=nr)})
-    right = right.drop_duplicates(["k", "t"])  # stage contract
-
-    lds = ray.data.from_pandas(left).repartition(7)
-    rds = ray.data.from_pandas(right).repartition(5)
-    got = asof_join_keyed(lds, rds, key_col="k", ts_col="t",
-                          right_val_col="v", left_id_col="id",
-                          out_col="av").to_pandas() \
-        .sort_values("id", ignore_index=True)
-
-    want = pd.merge_asof(
-        left.sort_values("t", kind="stable"),
-        right.sort_values("t", kind="stable"),
-        on="t", by="k", direction="backward") \
-        .sort_values("id", ignore_index=True)
-    lw = want["v"].to_numpy()
-    lg = got["av"].to_numpy()
-    assert len(got) == nl
-    assert np.array_equal(np.isnan(lw), np.isnan(lg))
-    m = ~np.isnan(lw)
-    assert np.allclose(lw[m], lg[m])
-
-
-def test_asof_join_keyed_equal_ts_is_inclusive():
-    from dggrid4py_ray.stages.temporal import asof_join_keyed
-
-    left = ray.data.from_pandas(pd.DataFrame(
-        {"id": [1], "k": [7], "t": [100]}))
-    right = ray.data.from_pandas(pd.DataFrame(
-        {"k": [7, 7], "t": [100, 99], "v": [5.0, 3.0]}))
-    out = asof_join_keyed(left, right, "k", "t", "v", "id",
-                          out_col="av").to_pandas()
-    assert out["av"].tolist() == [5.0]  # ts-equal right row matches
-
-
 # --------------------------------------------------------- merge_changes
 
 def _brute_merge(base, changes):

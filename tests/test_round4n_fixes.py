@@ -7,22 +7,6 @@ import pytest
 import ray.data
 
 
-def test_asof_keyed_null_right_value_matches_not_skips():
-    """A right row with NULL value still wins the as-of match (DuckDB ASOF
-    semantics): the probe gets NULL, not the older non-null value."""
-    from dggrid4py_ray.stages.temporal import asof_join_keyed
-
-    right = ray.data.from_pandas(pd.DataFrame(
-        {"k": [1, 1], "ts": [10, 20], "val": [5.0, None]}))
-    left = ray.data.from_pandas(pd.DataFrame(
-        {"k": [1, 1, 1], "ts": [15, 25, 5], "lid": [100, 101, 102]}))
-    out = asof_join_keyed(left, right, "k", "ts", "val", "lid") \
-        .to_pandas().set_index("lid")
-    assert out.loc[100, "asof_val"] == 5.0      # matches ts=10
-    assert pd.isna(out.loc[101, "asof_val"])    # matches ts=20 (NULL val)
-    assert pd.isna(out.loc[102, "asof_val"])    # no prior right row
-
-
 def test_group_linear_fit_overflow_raises():
     from dggrid4py_ray.stages.linalg import group_linear_fit
 

@@ -1,9 +1,10 @@
-"""sliding_window_daily / sessionize / asof_join_broadcast
-(stages/temporal.py) vs in-memory pandas oracles."""
+"""sliding_window_daily / sessionize / asof_join and the other
+stages/temporal.py operators vs in-memory pandas oracles."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def _events(n=4000, seed=9):
@@ -52,20 +53,6 @@ def test_sessionize(ray_session):
         assert out.loc[uid, "n_events"] == len(sub)
 
 
-def test_asof_join_broadcast(ray_session):
-    from dggrid4py_ray.stages.temporal import asof_join_broadcast
-    df = _events(2000)
-    markers = [(k, np.datetime64("2024-01-01") + np.timedelta64(7 * k, "D"))
-               for k in range(5)]
-    out = asof_join_broadcast(_ds(ray_session, df), markers, "ts").to_pandas()
-    assert len(out) == len(df)   # all events at/after the first marker
-    mts = np.array([m[1] for m in markers], dtype="datetime64[us]")
-    expect = (np.searchsorted(mts, df.sort_values("eid")["ts"]
-                              .to_numpy(dtype="datetime64[us]"), side="right") - 1)
-    got = out.sort_values("eid")["marker_id"].to_numpy()
-    assert (got == expect).all()
-
-
 def test_sessionize_scale_100k_users(ray_session):
     """VERDICT r3 #2 done-criterion: the sort+block-local sessionize must
     handle >=100k users with per-user work in vectorized numpy (only the
@@ -103,35 +90,6 @@ def test_sessionize_scale_100k_users(ray_session):
     assert (got["n_events"].to_numpy() == exps["n_events"].to_numpy()).all()
     assert (got["n_sessions"].to_numpy() == exps["n_sessions"].to_numpy()).all()
     assert dt < 240, dt   # guard vs per-group Python blowup; box has 3-8x timing noise
-
-
-def test_asof_join_via_buckets_matches_broadcast(ray_session):
-    """Large-large as-of (bucket cogroup + carry table) must agree row-for-
-    row with the broadcast as-of on the same marker set — including events
-    whose bucket holds no marker (carry-in) and events before all markers
-    (dropped / -1)."""
-    from dggrid4py_ray.stages.temporal import (asof_join_broadcast,
-                                               asof_join_via_buckets)
-    import ray.data
-    df = _events(n=6000, seed=31)
-    # markers clustered in a few hours so many daily buckets are empty ->
-    # carry-table path exercised; first marker after some events -> drops
-    markers = [(k, np.datetime64("2024-01-03T06:00:00", "us")
-                + np.timedelta64(int(k * 19 + k * k), "h")) for k in range(12)]
-    ds = _ds(ray_session, df)
-    bc = asof_join_broadcast(ds, markers, "ts").to_pandas()
-    mtbl = pa.table({
-        "marker_id": pa.array([m[0] for m in markers], type=pa.int64()),
-        "ts": pa.array([m[1] for m in markers],
-                       type=pa.timestamp("us"))})
-    bk = asof_join_via_buckets(ds, ray.data.from_arrow(mtbl).repartition(2),
-                               "ts", bucket_seconds=86400.0).to_pandas()
-    a = bc.sort_values("eid").reset_index(drop=True)
-    b = bk.sort_values("eid").reset_index(drop=True)
-    assert len(a) == len(b)
-    assert (a["eid"].to_numpy() == b["eid"].to_numpy()).all()
-    assert (a["marker_id"].to_numpy() == b["marker_id"].to_numpy()).all()
-    assert list(b.dtypes[["uid", "eid"]]) == [np.int64, np.int64]
 
 
 def test_funnel_stages_hand_case(ray_session):
@@ -235,3 +193,168 @@ def test_rolling_distinct_daily_hand_case(ray_session):
     # day 0: {1,2}; day 1: {1,2} (window 0-1); day 3: {1,3} (days 1-3);
     # day 9: {1}
     assert got == {0: 2, 1: 2, 3: 2, 9: 1}
+
+
+# ------------------------------------------------------------- asof_join
+
+def _asof_sides(keyed: bool, seed: int = 21, nl: int = 20000, nr: int = 400):
+    """Dense left rows, sparse right rows (so most matches come from rows
+    far back in the sort order), some null right values."""
+    rng = np.random.default_rng(seed)
+    nk = 4 if keyed else 1
+    left = pd.DataFrame({"id": np.arange(nl, dtype=np.int64),
+                         "k": rng.integers(0, nk, nl),
+                         "t": rng.integers(0, 1_000_000, nl)})
+    right = pd.DataFrame({"k": rng.integers(0, nk + 1, nr),  # a key with no left rows
+                          "t": rng.integers(0, 1_000_000, nr),
+                          "v": rng.normal(size=nr)})
+    right.loc[rng.random(nr) < 0.1, "v"] = np.nan
+    return left, right.drop_duplicates(["k", "t"] if keyed else ["t"])
+
+
+def _merge_asof(left, right, key):
+    return pd.merge_asof(left.sort_values("t"),
+                         right.assign(rt=right["t"]).sort_values("t"),
+                         on="t", by=key, direction="backward") \
+        .sort_values("id", ignore_index=True)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64 * 1024],
+                         ids=["default_blocks", "64KiB_blocks"])
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "unkeyed"])
+def test_asof_join_matches_merge_asof(ray_session, keyed, block_bytes):
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    left, right = _asof_sides(keyed)
+    key = "k" if keyed else None
+    want = _merge_asof(left, right if keyed else right.drop(columns="k"), key)
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    try:
+        if block_bytes is not None:
+            ctx.target_max_block_size = block_bytes
+        out = asof_join(ray.data.from_pandas(left).repartition(7),
+                        ray.data.from_pandas(right).repartition(5),
+                        "t", "v", "id", key_col=key, out_col="av")
+        blocks = [b.to_pandas() for b in out.iter_batches(
+            batch_size=None, batch_format="pyarrow") if b.num_rows]
+    finally:
+        ctx.target_max_block_size = saved
+    got = pd.concat(blocks).sort_values("id", ignore_index=True)
+    assert list(got.columns) == ["id", "k", "t", "av"]
+    assert (got["id"].to_numpy() == want["id"].to_numpy()).all()
+    w, g = want["v"].to_numpy(), got["av"].to_numpy()
+    assert np.array_equal(np.isnan(w), np.isnan(g))
+    assert np.allclose(w[~np.isnan(w)], g[~np.isnan(g)])
+    if block_bytes is not None:
+        # output blocks follow the sorted blocks; a block whose first left
+        # row matched a right row sorting before the previous block's last
+        # left row took its match across a seam, from the driver carry
+        rt = want.set_index("id")["rt"]
+        seams = 0
+        for prev, cur in zip(blocks, blocks[1:]):
+            first, last = cur.iloc[0], prev.iloc[-1]
+            m = rt.get(first["id"])
+            if pd.isna(m):
+                continue
+            same = not keyed or first["k"] == last["k"]
+            seams += bool(same and m <= last["t"])
+        assert len(blocks) >= 10 and seams >= 1, (len(blocks), seams)
+
+
+def test_asof_join_null_right_value_matches_not_skips(ray_session):
+    """A right row with NULL value still wins the as-of match (DuckDB ASOF
+    semantics): the probe gets NULL, not the older non-null value."""
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    right = ray.data.from_pandas(pd.DataFrame(
+        {"k": [1, 1], "ts": [10, 20], "val": [5.0, None]}))
+    left = ray.data.from_pandas(pd.DataFrame(
+        {"k": [1, 1, 1], "ts": [15, 25, 5], "lid": [100, 101, 102]}))
+    out = asof_join(left, right, "ts", "val", "lid", key_col="k") \
+        .to_pandas().set_index("lid")
+    assert out.loc[100, "val"] == 5.0      # matches ts=10
+    assert pd.isna(out.loc[101, "val"])    # matches ts=20 (NULL val)
+    assert pd.isna(out.loc[102, "val"])    # no prior right row
+
+
+def test_asof_join_equal_ts_is_inclusive(ray_session):
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    left = ray.data.from_pandas(pd.DataFrame(
+        {"id": [1], "k": [7], "t": [100]}))
+    right = ray.data.from_pandas(pd.DataFrame(
+        {"k": [7, 7], "t": [100, 99], "v": [5.0, 3.0]}))
+    out = asof_join(left, right, "t", "v", "id", key_col="k",
+                    out_col="av").to_pandas()
+    assert out["av"].tolist() == [5.0]  # ts-equal right row matches
+
+
+_WEEKLY = [np.datetime64("2024-01-01", "us") + np.timedelta64(7 * k, "D")
+           for k in range(5)]
+# clustered in a few hours so most days hold no marker; the first marker
+# comes after some events, which are then unmatched
+_CLUSTERED = [np.datetime64("2024-01-03T06:00:00", "us")
+              + np.timedelta64(int(k * 19 + k * k), "h") for k in range(12)]
+
+
+@pytest.mark.parametrize("mts", [_WEEKLY, _CLUSTERED],
+                         ids=["weekly", "clustered"])
+def test_asof_join_markers_match_merge_asof(ray_session, mts):
+    """Unkeyed event -> marker as-of with the unmatched events dropped,
+    both sides over several blocks, against pandas merge_asof."""
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    df = _events(n=6000, seed=31)
+    markers = pa.table({"marker_id": pa.array(range(len(mts)), pa.int64()),
+                        "ts": pa.array(mts, pa.timestamp("us"))})
+    out = asof_join(_ds(ray_session, df),
+                    ray.data.from_arrow(markers).repartition(2),
+                    "ts", "marker_id", "eid", keep_unmatched=False) \
+        .to_pandas().sort_values("eid", ignore_index=True)
+    want = pd.merge_asof(df.sort_values("ts"), markers.to_pandas(),
+                         on="ts", direction="backward") \
+        .dropna(subset=["marker_id"]).sort_values("eid", ignore_index=True)
+    assert len(out) == len(want) > 0
+    assert (out["eid"].to_numpy() == want["eid"].to_numpy()).all()
+    assert (out["marker_id"].to_numpy() == want["marker_id"].to_numpy()).all()
+    assert list(out.dtypes[["uid", "eid", "marker_id"]]) == [np.int64] * 3
+    if mts is _WEEKLY:
+        assert len(out) == len(df)   # every event is at/after the first marker
+
+
+def test_asof_join_empty_sides(ray_session):
+    import ray
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    left = pa.table({"id": pa.array([1, 2, 3], pa.int64()),
+                     "k": pa.array([1, 1, 2], pa.int64()),
+                     "t": pa.array([5, 9, 7], pa.int64())})
+    right = pa.table({"k": pa.array([1], pa.int64()),
+                      "t": pa.array([6], pa.int64()),
+                      "v": pa.array(["x"], pa.string())})
+    out = asof_join(ray.data.from_arrow(left.slice(0, 0)),
+                    ray.data.from_arrow(right), "t", "v", "id", key_col="k")
+    got = out.to_pandas()
+    assert len(got) == 0 and list(got.columns) == ["id", "k", "t", "v"]
+    out = asof_join(ray.data.from_arrow(left),
+                    ray.data.from_arrow(right.slice(0, 0)),
+                    "t", "v", "id", key_col="k").to_arrow_refs()
+    got = pa.concat_tables(ray.get(out)).sort_by("id")
+    assert got.schema.field("v").type == pa.string()
+    assert got["id"].to_pylist() == [1, 2, 3]
+    assert got["v"].null_count == 3          # every row unmatched
+
+
+def test_asof_join_contract_violations_raise(ray_session):
+    import ray.data
+    from dggrid4py_ray.stages.temporal import asof_join
+    left = ray.data.from_pandas(pd.DataFrame(
+        {"id": [1], "k": [7], "t": [100]}))
+    right = ray.data.from_pandas(pd.DataFrame(
+        {"k": [7, 7], "t": [90, 90], "v": [5.0, 3.0]}))
+    # Ray wraps the worker's ValueError in RayTaskError
+    with pytest.raises(Exception, match=r"unique \(key, ts\)"):
+        asof_join(left, right, "t", "v", "id", key_col="k").to_pandas()
+    with pytest.raises(ValueError, match="is a left column"):
+        asof_join(left, right, "t", "v", "id", key_col="k", out_col="t")
