@@ -16,8 +16,10 @@ mirroring interrupt.py:26-27 semantics).
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
+import pyarrow as pa
 
 _WKB_POINT = 1
 _WKB_LINESTRING = 2
@@ -95,6 +97,157 @@ def _parse_polygon_body(buf, off, order):
     return rings, off
 
 
+class WkbRings(NamedTuple):
+    """Rings of a column of polygonal WKB, flattened GeoArrow-style: the
+    points of ring ``r`` are ``xy[ring_offsets[r]:ring_offsets[r + 1]]``
+    and the rings of row ``i`` are ``row_offsets[i]:row_offsets[i + 1]``
+    (a MultiPolygon's polygons one after another, exterior first)."""
+    xy: np.ndarray
+    ring_offsets: np.ndarray
+    row_offsets: np.ndarray
+
+
+def wkb_polygon_rings(wkb) -> WkbRings:
+    """Columnar walk of an Arrow binary column of Polygon / MultiPolygon
+    WKB, either byte order (per geometry and per MultiPolygon part).
+
+    No per-row Python: the cursors of all rows advance together, one
+    vectorized step per polygon level and per ring level, so the loop
+    count is the largest part/ring count, not the row count.  Raises
+    ``ValueError`` on a null, a non-polygonal or a truncated geometry."""
+    data, offs = _wkb_buffers(wkb)
+    n = len(offs) - 1
+    end = offs[1:]
+    cur = offs[:-1].copy()
+    le = _wkb_order(data, cur, end)
+    gtype = _wkb_u32(data, cur + 1, le, end)
+    cur += 5
+    multi = gtype == _WKB_MULTIPOLYGON
+    bad = ~multi & (gtype != _WKB_POLYGON)
+    if bad.any():
+        raise ValueError("non-polygonal WKB geometry type "
+                         f"{int(gtype[bad][0])}")
+    nparts = np.ones(n, np.int64)
+    m = np.flatnonzero(multi)
+    nparts[m] = _wkb_u32(data, cur[m], le[m], end[m])
+    cur[m] += 4
+    rec = []                        # (row, start byte, npts, little-endian)
+    act = np.flatnonzero(nparts > 0)
+    part = 0
+    while act.size:                 # one step per MultiPolygon part
+        c, e, o = cur[act], end[act], le[act].copy()
+        s = np.flatnonzero(multi[act])
+        if s.size:                  # a part carries its own order + type
+            o[s] = _wkb_order(data, c[s], e[s])
+            if (_wkb_u32(data, c[s] + 1, o[s], e[s]) != _WKB_POLYGON).any():
+                raise ValueError("MultiPolygon part is not a Polygon")
+            c[s] += 5
+        nrings = _wkb_u32(data, c, o, e)
+        c += 4
+        ract = np.flatnonzero(nrings > 0)
+        ring = 0
+        while ract.size:            # one step per ring of the part
+            cc = c[ract]
+            npts = _wkb_u32(data, cc, o[ract], e[ract])
+            cc += 4
+            if (cc + 16 * npts > e[ract]).any():
+                raise ValueError("truncated WKB")
+            rec.append((act[ract], cc, npts, o[ract]))
+            c[ract] = cc + 16 * npts
+            ring += 1
+            ract = ract[nrings[ract] > ring]
+        cur[act] = c
+        part += 1
+        act = act[nparts[act] > part]
+    if rec:
+        row, start, npts, rle = (np.concatenate(a) for a in zip(*rec))
+        # records come part by part, ring by ring: a stable sort on the
+        # row restores each row's own ring order
+        order = np.argsort(row, kind="stable")
+        row, start, npts, rle = row[order], start[order], npts[order], rle[order]
+    else:
+        row = start = npts = np.zeros(0, np.int64)
+        rle = np.zeros(0, bool)
+    ring_offsets = np.zeros(len(npts) + 1, np.int64)
+    np.cumsum(npts, out=ring_offsets[1:])
+    row_offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=row_offsets[1:])
+    pt_ring = np.repeat(np.arange(len(npts)), npts)
+    pos = start[pt_ring] + 16 * (np.arange(ring_offsets[-1])
+                                 - ring_offsets[pt_ring])
+    ple = rle[pt_ring]
+    xy = np.column_stack([_wkb_f64(data, pos, ple),
+                          _wkb_f64(data, pos + 8, ple)])
+    return WkbRings(xy, ring_offsets, row_offsets)
+
+
+def wkb_envelopes(wkb) -> np.ndarray:
+    """Per-row (minx, miny, maxx, maxy) of a column of polygonal WKB, as
+    an (n, 4) float64 array.  Raises ``ValueError`` on an empty one."""
+    w = wkb_polygon_rings(wkb)
+    starts = w.ring_offsets[w.row_offsets]
+    if (starts[1:] == starts[:-1]).any():
+        raise ValueError("empty polygonal WKB geometry")
+    if len(starts) == 1:
+        return np.zeros((0, 4))
+    # a row's points are contiguous, so one reduceat per bound
+    lo = np.minimum.reduceat(w.xy, starts[:-1], axis=0)
+    hi = np.maximum.reduceat(w.xy, starts[:-1], axis=0)
+    return np.hstack([lo, hi])
+
+
+def _wkb_buffers(wkb) -> tuple[np.ndarray, np.ndarray]:
+    """(data bytes, int64 row offsets) of an Arrow binary column."""
+    if isinstance(wkb, pa.ChunkedArray):
+        wkb = wkb.combine_chunks()
+    if not (pa.types.is_binary(wkb.type) or pa.types.is_large_binary(wkb.type)):
+        raise ValueError(f"expected a binary WKB column, got {wkb.type}")
+    if wkb.null_count:
+        raise ValueError("null geometry in the WKB column")
+    if len(wkb) == 0:
+        return np.zeros(0, np.uint8), np.zeros(1, np.int64)
+    _, off_buf, data_buf = wkb.buffers()
+    odt = np.dtype(np.int64 if pa.types.is_large_binary(wkb.type) else np.int32)
+    offs = np.frombuffer(off_buf, odt, count=len(wkb) + 1,
+                         offset=wkb.offset * odt.itemsize).astype(np.int64)
+    data = (np.frombuffer(data_buf, np.uint8) if data_buf is not None
+            else np.zeros(0, np.uint8))
+    return data, offs
+
+
+def _wkb_order(data, pos, end) -> np.ndarray:
+    """Byte-order flags at ``pos``: True = little-endian."""
+    if (pos + 5 > end).any():
+        raise ValueError("truncated WKB")
+    b = data[pos]
+    if (b > 1).any():
+        raise ValueError("bad WKB byte-order byte")
+    return b == 1
+
+
+def _wkb_u32(data, pos, le, end) -> np.ndarray:
+    if (pos + 4 > end).any():
+        raise ValueError("truncated WKB")
+    v = data[pos[:, None] + np.arange(4)].view("<u4")[:, 0]
+    v = np.where(le, v, v.byteswap())
+    return v.astype(np.int64)
+
+
+def _wkb_f64(data, pos, le) -> np.ndarray:
+    """Gather float64s at arbitrary byte positions: one unaligned 8-byte
+    view of the data per residue ``pos % 8``, so the index arrays stay
+    O(points) rather than O(bytes)."""
+    out = np.empty(len(pos), np.uint64)
+    res = pos & 7
+    for r in np.unique(res):
+        sel = res == r
+        view = np.frombuffer(data, "<u8", count=(len(data) - r) // 8, offset=r)
+        out[sel] = view[pos[sel] >> 3]
+    if not le.all():
+        out[~le] = out[~le].byteswap()
+    return out.view("<f8")
+
+
 # ---------------------------------------------------------------------------
 # Polygon predicates
 # ---------------------------------------------------------------------------
@@ -165,42 +318,87 @@ class PolygonSet:
         return np.vstack(segs)
 
     def intersects_ring(self, ring: np.ndarray) -> bool:
-        """Polygon-ring intersects this set: any vertex inside either way, or
-        any edge pair crossing (exact planar test; used for cell-vs-clip)."""
-        ring = np.asarray(ring, dtype=np.float64)
-        if self.contains(ring[:, 0], ring[:, 1]).any():
-            return True
-        rx = np.where(ring[:, 0] < 0, ring[:, 0] + 360.0, ring[:, 0]) if self.wrapped else ring[:, 0]
-        # any polygon vertex inside the ring?
-        for rings in self.polys:
-            ext = rings[0]
-            if _ring_crossings(np.column_stack([rx, ring[:, 1]]), ext[:, 0], ext[:, 1]).any():
-                return True
-        a = np.column_stack([rx[:-1], ring[:-1, 1], rx[1:], ring[1:, 1]])
-        return _segments_cross(a, self.segments())
+        """Polygon-ring intersects this set (``intersects_rings`` of one)."""
+        return bool(self.intersects_rings(np.asarray(ring)[None])[0])
+
+    def intersects_rings(self, rings: np.ndarray) -> np.ndarray:
+        """Batched exact planar intersects test of (n, k, 2) rings against
+        this set (cell-vs-clip).  A row's ring is its non-NaN vertices in
+        order, with edges between consecutive ones (no implicit closing
+        edge); NaN padding contributes nothing.  A row hits when any of
+        its vertices is inside the set, any polygon's exterior vertex is
+        inside the ring (even-odd), or any edge pair properly crosses.
+
+        Rows go in chunks whose (rows x ring vertices x set segments)
+        broadcast stays under ``_PAIR_BUDGET`` elements."""
+        rings = np.asarray(rings, dtype=np.float64)
+        n, k = rings.shape[:2]
+        valid = ~np.isnan(rings[:, :, 0])
+        if (valid[:, 1:] & ~valid[:, :-1]).any():
+            # a vertex after a NaN: move each row's vertices to the front
+            order = np.argsort(~valid, axis=1, kind="stable")
+            rings = np.take_along_axis(rings, order[:, :, None], axis=1)
+            valid = np.take_along_axis(valid, order, axis=1)
+        segs = self.segments()
+        ext = np.vstack([rr[0] for rr in self.polys])
+        step = max(1, _PAIR_BUDGET // max(1, k * max(len(segs), len(ext))))
+        hit = np.zeros(n, dtype=bool)
+        for lo in range(0, n, step):
+            sl = slice(lo, lo + step)
+            hit[sl] = self._intersects_chunk(rings[sl], valid[sl], segs, ext)
+        return hit
+
+    def _intersects_chunk(self, rings, valid, segs, ext) -> np.ndarray:
+        x, y = rings[:, :, 0], rings[:, :, 1]
+        hit = np.zeros(len(rings), dtype=bool)
+        # any ring vertex inside the set?
+        hit[np.nonzero(valid)[0][self.contains(x[valid], y[valid])]] = True
+        rest = np.flatnonzero(~hit)
+        if self.wrapped:
+            x = np.where(x < 0, x + 360.0, x)
+        # edge j of a row runs from vertex j to j + 1; an edge into the
+        # NaN padding has a NaN end, and every comparison below is False
+        x1, y1 = x[rest, :-1, None], y[rest, :-1, None]
+        x2, y2 = x[rest, 1:, None], y[rest, 1:, None]
+        # any polygon exterior vertex inside the ring?
+        par = _edge_crossings(x1, y1, x2, y2, ext[:, 0], ext[:, 1]) \
+            .sum(axis=1) % 2 == 1
+        inner = par.any(axis=1)
+        hit[rest[inner]] = True
+        keep = ~inner
+        rest = rest[keep]
+        x1, y1, x2, y2 = x1[keep], y1[keep], x2[keep], y2[keep]
+        # any edge pair crossing?
+        cross = _segments_cross(x1, y1, x2, y2, segs[:, 0], segs[:, 1],
+                                segs[:, 2], segs[:, 3])
+        hit[rest[cross.any(axis=(1, 2))]] = True
+        return hit
+
+
+# elements per broadcast temporary in ``PolygonSet.intersects_rings``
+# (a few float64 temporaries of this size are alive at once)
+_PAIR_BUDGET = 1 << 18
+
+
+def _edge_crossings(x1, y1, x2, y2, px, py) -> np.ndarray:
+    """Does the rightward ray from point (px, py) cross edge
+    (x1, y1)-(x2, y2)?  Broadcasts over edges and points."""
+    cond = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = x1 + (py - y1) * (x2 - x1) / np.where(y2 == y1, 1.0, (y2 - y1))
+    return cond & (px < xint)
 
 
 def _ring_crossings(ring: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Even-odd crossing parity of a ring for points (x, y) — vectorized over
     points and edges."""
-    x1 = ring[:-1, 0][:, None]
-    y1 = ring[:-1, 1][:, None]
-    x2 = ring[1:, 0][:, None]
-    y2 = ring[1:, 1][:, None]
-    xf = x[None, :]
-    yf = y[None, :]
-    cond = (y1 > yf) != (y2 > yf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x1 + (yf - y1) * (x2 - x1) / np.where(y2 == y1, 1.0, (y2 - y1))
-    cross = cond & (xf < xint)
-    return cross.sum(axis=0) % 2 == 1
+    return _edge_crossings(ring[:-1, 0][:, None], ring[:-1, 1][:, None],
+                           ring[1:, 0][:, None], ring[1:, 1][:, None],
+                           x[None, :], y[None, :]).sum(axis=0) % 2 == 1
 
 
-def _segments_cross(a: np.ndarray, b: np.ndarray) -> bool:
-    """Any segment in a (n,4) properly crossing any in b (m,4)?  O(n*m)."""
-    ax1, ay1, ax2, ay2 = a[:, 0][:, None], a[:, 1][:, None], a[:, 2][:, None], a[:, 3][:, None]
-    bx1, by1, bx2, by2 = b[:, 0][None, :], b[:, 1][None, :], b[:, 2][None, :], b[:, 3][None, :]
-
+def _segments_cross(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2) -> np.ndarray:
+    """Does segment a properly cross segment b?  Broadcasts."""
     def orient(px, py, qx, qy, rx, ry):
         return (qx - px) * (ry - py) - (qy - py) * (rx - px)
 
@@ -208,7 +406,7 @@ def _segments_cross(a: np.ndarray, b: np.ndarray) -> bool:
     d2 = orient(ax1, ay1, ax2, ay2, bx2, by2)
     d3 = orient(bx1, by1, bx2, by2, ax1, ay1)
     d4 = orient(bx1, by1, bx2, by2, ax2, ay2)
-    return bool((((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))).any())
+    return ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
 
 
 # ---------------------------------------------------------------------------

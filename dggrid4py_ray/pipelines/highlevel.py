@@ -129,8 +129,8 @@ class _Descend:
 
 class _ExactClip:
     """Final intersects filter (DGGRID clip semantics: cell intersects
-    region).  Fast paths: centroid-in-clip, bbox-disjoint; exact ring test
-    only for the boundary sliver."""
+    region).  Fast paths: centroid-in-clip, bbox-disjoint; the boundary
+    sliver takes one batched exact ring test."""
 
     def __init__(self, dggs: Dggs, clip: PolygonSet):
         self.dggs = dggs
@@ -150,13 +150,8 @@ class _ExactClip:
         maybe = ~inside & _bbox_prune(pos, self.clip, margin_rad=1.2 * ig._D[self.dggs.resolution])
         if maybe.any():
             z = batch["cell_id"].to_numpy(zero_copy_only=False).astype(np.int64)[maybe]
-            verts = self._grid.boundary(z)
-            hits = np.zeros(len(z), dtype=bool)
-            for i in range(len(z)):
-                ring = verts[i][~np.isnan(verts[i, :, 0])]
-                hits[i] = self.clip.intersects_ring(ring)
-            idx = np.nonzero(maybe)[0]
-            inside[idx[hits]] = True
+            hits = self.clip.intersects_rings(self._grid.boundary(z))
+            inside[np.flatnonzero(maybe)[hits]] = True
         return batch.filter(pa.array(inside))
 
 
@@ -219,7 +214,7 @@ def _family_extent(dggs: Dggs, clip: PolygonSet | None,
 
     ``want``: "ids" -> cell_id; "centroids" -> + lon/lat;
     "polygons" -> + WKB geometry (triangle/diamond only)."""
-    from ..geometry import wkb_polygon
+    from ..stages.encode import _rings_to_wkb
 
     grid = _grid_for(dggs)
     inner, res = grid.inner, dggs.resolution
@@ -257,10 +252,9 @@ def _family_extent(dggs: Dggs, clip: PolygonSet | None,
                         & (lons.max(1) >= minx - 1.0)
                         & (lats.min(1) <= maxy + 1.0)
                         & (lats.max(1) >= miny - 1.0))
-                for i in np.flatnonzero(near):      # boundary sliver only
-                    ring = np.column_stack([lons[i], lats[i]])
-                    if clip.intersects_ring(ring):
-                        keep[i] = True
+                near = np.flatnonzero(near)         # boundary sliver only
+                keep[near] = clip.intersects_rings(
+                    np.stack([lons[near], lats[near]], axis=-1))
             z, lon, lat = z[keep], lon[keep], lat[keep]
             if corners is not None:
                 corners = (corners[0][keep], corners[1][keep])
@@ -269,10 +263,7 @@ def _family_extent(dggs: Dggs, clip: PolygonSet | None,
             cols["lon"] = pa.array(lon)
             cols["lat"] = pa.array(lat)
         if want == "polygons":
-            lons, lats = corners
-            wkbs = [wkb_polygon([np.column_stack([lons[i], lats[i]])])
-                    for i in range(len(z))]
-            cols["geometry"] = pa.array(wkbs, pa.binary())
+            cols["geometry"] = _rings_to_wkb(np.stack(corners, axis=-1))
         out = pa.table(cols)
         if want == "centroids" or want == "ids":
             return out.select(["cell_id"] if want == "ids"
@@ -470,40 +461,30 @@ def post_process_split_dateline(ds: ray.data.Dataset,
     """Split antimeridian-crossing polygons into east+west parts, 1 -> 2 rows
     (reference post_process_split_dateline dggrid_runner.py:1251-1274 +
     interrupt.py).  Order-stable within each batch."""
-    import struct as _struct
+    from ..geometry import (parse_wkb, split_ring_at_dateline, wkb_polygon,
+                            wkb_polygon_rings)
 
-    from ..geometry import parse_wkb, ring_crosses_dateline, split_ring_at_dateline, wkb_polygon
-
-    def _crossing_mask(wkbs: np.ndarray) -> np.ndarray:
-        """Vectorized |Δlon| > 180 test over single-ring little-endian WKB
-        polygons (the engine's own writer layout: 13-byte header + f8
-        pairs), grouped by byte length so each group parses as one numpy
-        buffer; rows with any other layout fall back to parse_wkb."""
-        n = len(wkbs)
+    def _crossing_mask(wkbs: pa.ChunkedArray) -> np.ndarray:
+        """|Δlon| > 180 between consecutive points of each row's first
+        ring (the exterior of its first polygon), read through one
+        columnar walk of the WKB column."""
+        w = wkb_polygon_rings(wkbs)
+        n = len(w.row_offsets) - 1
+        nring = len(w.ring_offsets) - 1
+        pt_ring = np.repeat(np.arange(nring), np.diff(w.ring_offsets))
+        first = np.zeros(nring + 1, dtype=bool)
+        first[w.row_offsets[:-1]] = True
+        ring_row = np.repeat(np.arange(n), np.diff(w.row_offsets))
+        jump = np.abs(np.diff(w.xy[:, 0])) > 180.0
+        hit = jump & (pt_ring[1:] == pt_ring[:-1]) & first[pt_ring[1:]]
         cross = np.zeros(n, dtype=bool)
-        lens = np.fromiter((len(b) for b in wkbs), dtype=np.int64, count=n)
-        for L in np.unique(lens):
-            idx = np.flatnonzero(lens == L)
-            m = (int(L) - 13) // 16
-            hdr = np.frombuffer(_struct.pack("<BIII", 1, 3, 1, m), dtype=np.uint8) \
-                if (L >= 13 + 3 * 16 and (L - 13) % 16 == 0) else None
-            buf = np.frombuffer(b"".join(bytes(wkbs[i]) for i in idx),
-                                dtype=np.uint8).reshape(len(idx), int(L))
-            if hdr is not None and (buf[:, :13] == hdr).all():
-                lon = np.ascontiguousarray(buf[:, 13:]).view("<f8") \
-                    .reshape(len(idx), m, 2)[:, :, 0]
-                cross[idx] = np.abs(np.diff(lon, axis=1)).max(axis=1) > 180.0
-            else:       # foreign layout: exact per-row fallback
-                for i in idx:
-                    t, rings = parse_wkb(bytes(wkbs[i]))
-                    ring = rings[0] if t == "Polygon" else rings[0][0]
-                    cross[i] = ring_crosses_dateline(ring)
+        cross[ring_row[pt_ring[1:][hit]]] = True
         return cross
 
     def split(batch: pa.Table) -> pa.Table:
+        cross = _crossing_mask(batch[wkb_col])
         wkbs = batch[wkb_col].to_numpy(zero_copy_only=False)
         n = len(wkbs)
-        cross = _crossing_mask(wkbs)
         if not cross.any():
             return batch
         # only crossers (O(cells touching the antimeridian)) are re-parsed

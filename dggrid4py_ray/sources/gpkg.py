@@ -13,37 +13,45 @@ Layout written (GeoPackage 1.3 core requirements):
 (EPSG:4326 + the two mandatory rows), ``gpkg_contents``,
 ``gpkg_geometry_columns``, and the feature table whose geometry blobs
 carry the GP binary header (envelope indicator 1) around standard WKB.
+
+Blobs are built a batch at a time, without per-row parsing: one columnar
+walk of the batch's WKB column (``geometry.wkb_envelopes``) gives every
+row's envelope, the 40-byte GP headers are filled in as one ``(n, 40)``
+byte array, and the only per-row work left is joining each header to its
+WKB into the ``bytes`` object sqlite binds.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-import struct
 
 import numpy as np
 import pyarrow as pa
 
-from ..geometry import parse_wkb
+from ..geometry import wkb_envelopes
 
 _WGS84_WKT = ('GEOGCS["WGS 84",DATUM["WGS_1984",'
               'SPHEROID["WGS 84",6378137,298.257223563]],'
               'PRIMEM["Greenwich",0],UNIT["degree",0.0174532925199433]]')
 
 
-def _gp_blob(wkb: bytes, srs_id: int) -> tuple[bytes, tuple]:
-    t, data = parse_wkb(wkb)
-    if t == "Polygon":
-        pts = np.vstack(data)
-    elif t == "MultiPolygon":
-        pts = np.vstack([r for rings in data for r in rings])
-    else:
-        raise ValueError(f"write_gpkg: non-polygonal geometry {t}")
-    env = (float(pts[:, 0].min()), float(pts[:, 0].max()),
-           float(pts[:, 1].min()), float(pts[:, 1].max()))
-    header = (b"GP" + bytes([0, 0b00000011])      # v0, LE, envelope=1
-              + struct.pack("<i", srs_id) + struct.pack("<4d", *env))
-    return header + wkb, env
+def _gp_blobs(wkb: pa.Array, srs_id: int) -> tuple[list, np.ndarray]:
+    """GeoPackage geometry blobs for a column of polygonal WKB, and the
+    column's (minx, miny, maxx, maxy) envelopes."""
+    try:
+        env = wkb_envelopes(wkb)
+    except ValueError as e:
+        raise ValueError(f"write_gpkg: {e}") from None
+    n = len(env)
+    hdr = np.empty((n, 40), dtype=np.uint8)
+    hdr[:, :4] = np.frombuffer(b"GP\x00\x03", np.uint8)   # v0, LE, envelope=1
+    hdr[:, 4:8] = np.array([srs_id], "<i4").view(np.uint8)
+    hdr[:, 8:] = np.ascontiguousarray(env[:, [0, 2, 1, 3]], "<f8") \
+        .view(np.uint8)                         # minx, maxx, miny, maxy
+    heads = hdr.view("V40").ravel().tolist()
+    blobs = [h + w for h, w in zip(heads, wkb.to_numpy(zero_copy_only=False))]
+    return blobs, env
 
 
 def write_gpkg(data, path: str, table: str = "cells",
@@ -97,7 +105,7 @@ def write_gpkg(data, path: str, table: str = "cells",
         n = 0
         cols_created = False
         attr_cols: list[str] = []
-        bbox = [np.inf, np.inf, -np.inf, -np.inf]
+        bbox = np.array([np.inf, np.inf, -np.inf, -np.inf])
         for b in batches():
             if isinstance(b, pa.RecordBatch):
                 b = pa.Table.from_batches([b])
@@ -118,16 +126,12 @@ def write_gpkg(data, path: str, table: str = "cells",
                     "(?, ?, 'POLYGON', ?, 0, 0)",
                     (table, wkb_col, srs_id))
                 cols_created = True
-            wkbs = b[wkb_col].to_pylist()
-            attrs = [b[c].to_pylist() for c in attr_cols]
-            rows = []
-            for i, w in enumerate(wkbs):
-                blob, env = _gp_blob(w, srs_id)
-                bbox[0] = min(bbox[0], env[0])
-                bbox[1] = min(bbox[1], env[2])
-                bbox[2] = max(bbox[2], env[1])
-                bbox[3] = max(bbox[3], env[3])
-                rows.append((blob, *[a[i] for a in attrs]))
+            if b.num_rows == 0:
+                continue
+            blobs, env = _gp_blobs(b[wkb_col].combine_chunks(), srs_id)
+            bbox[:2] = np.minimum(bbox[:2], env[:, :2].min(axis=0))
+            bbox[2:] = np.maximum(bbox[2:], env[:, 2:].max(axis=0))
+            rows = list(zip(blobs, *(b[c].to_pylist() for c in attr_cols)))
             ph = ", ".join(["?"] * (1 + len(attr_cols)))
             con.executemany(
                 f'INSERT INTO "{table}" ("{wkb_col}"'
@@ -140,7 +144,7 @@ def write_gpkg(data, path: str, table: str = "cells",
             "INSERT INTO gpkg_contents (table_name, data_type, "
             "identifier, min_x, min_y, max_x, max_y, srs_id) "
             "VALUES (?, 'features', ?, ?, ?, ?, ?, ?)",
-            (table, table, bbox[0], bbox[1], bbox[2], bbox[3], srs_id))
+            (table, table, *bbox.tolist(), srs_id))
         con.commit()
         return n
     finally:

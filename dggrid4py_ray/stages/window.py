@@ -373,19 +373,26 @@ def _tail_carry(srt: ray.data.Dataset, keys: list, group_col: str | None,
     non-null value for ``group_fill_forward``, the last right row for
     ``temporal.asof_join``); a last group with no selected row carries
     the incoming tail through.  ``group_col=None`` makes the whole order
-    one group.  Same unique-key requirement as ``group_running_sum``."""
+    one group.  Same unique-key requirement as ``group_running_sum``,
+    enforced: equal adjacent keys inside a block or across a block seam
+    raise ``ValueError`` (a null never equals anything, so
+    ``temporal.asof_join``'s right rows, whose id is null, are checked
+    by the join itself)."""
 
     def summarize(t: pa.Table) -> pa.Table:
         if group_col is not None:
             _require_clean_groups(t, group_col, "bounded-frame window")
         cols = {f"_k{i}": t[c].slice(0, min(1, t.num_rows))
                 for i, c in enumerate(keys)}
+        cols.update({f"_l{i}": t[c].slice(max(t.num_rows - 1, 0))
+                     for i, c in enumerate(keys)})
         vtype = t.schema.field(value_col).type
         if t.num_rows == 0:
             cols.update({"_key": pa.array([], pa.string()),
                          "_first_g": pa.array([], pa.string()),
                          "_last_g": pa.array([], pa.string()),
-                         "_tail": pa.array([], pa.list_(vtype))})
+                         "_tail": pa.array([], pa.list_(vtype)),
+                         "_dup": pa.array([], pa.bool_())})
             return pa.table(cols)
         g = _group_codes(t, group_col)
         last_start = 0 if g[0] == g[-1] else \
@@ -401,6 +408,9 @@ def _tail_carry(srt: ray.data.Dataset, keys: list, group_col: str | None,
             "_last_g": pa.array([str(g[-1])]),
             "_tail": pa.ListArray.from_arrays(
                 pa.array([0, len(seg)], pa.int32()), seg),
+            # equal adjacent keys inside the block
+            "_dup": pa.array([bool(_equal_keys(
+                t.slice(1), t.slice(0, t.num_rows - 1), keys).any())]),
         })
         return pa.table(cols)
 
@@ -417,6 +427,14 @@ def _tail_carry(srt: ray.data.Dataset, keys: list, group_col: str | None,
     summ = summ.take(pc.sort_indices(
         summ, [(f"_k{i}", "ascending") for i in range(len(keys))],
         null_placement="at_end"))
+    # nor across a seam: a block's first key vs the previous block's last
+    firsts = summ.select([f"_k{i}" for i in range(len(keys))]).slice(1)
+    lasts = summ.select([f"_l{i}" for i in range(len(keys))]) \
+        .slice(0, summ.num_rows - 1)
+    if pc.any(summ["_dup"]).as_py() or \
+            _equal_keys(firsts, lasts, range(len(keys))).any():
+        raise ValueError("bounded-frame windows require unique "
+                         "(group, order) keys")
     col = summ["_tail"].combine_chunks()
     flat, off = col.flatten(), col.offsets.to_numpy()
     carry_g, carry_t = None, flat.slice(0, 0)
@@ -434,6 +452,16 @@ def _tail_carry(srt: ray.data.Dataset, keys: list, group_col: str | None,
         carry_t = block_tail.slice(max(len(block_tail) - k, 0))
         carry_g = last_g
     return ray.put(tails)
+
+
+def _equal_keys(a: pa.Table, b: pa.Table, keys) -> np.ndarray:
+    """Row-wise: do the equal-length tables ``a`` and ``b`` agree on every
+    key column (names or positions)?  A null compares unequal."""
+    eq = np.ones(a.num_rows, dtype=bool)
+    for k in keys:
+        eq &= pc.fill_null(pc.equal(a.column(k), b.column(k)), False) \
+            .to_numpy(zero_copy_only=False)
+    return eq
 
 
 def _f64(a) -> np.ndarray:

@@ -180,6 +180,29 @@ def test_post_process_split_dateline(ray_session):
         assert np.abs(np.diff(rings[0][:, 0])).max() <= 180
 
 
+def test_post_process_split_dateline_foreign_layouts(ray_session):
+    """Big-endian and MultiPolygon rows are read by the same columnar
+    walk: the crossing test looks at the first polygon's exterior."""
+    import struct
+
+    import ray.data
+    from dggrid4py_ray.geometry import parse_wkb, wkb_polygon
+    from dggrid4py_ray.pipelines.highlevel import post_process_split_dateline
+    ring = np.array([[179, 0], [-179, 0], [-179, 2], [179, 2], [179, 0]], float)
+    be = struct.pack(">BIII", 0, 3, 1, len(ring)) + ring.astype(">f8").tobytes()
+    normal = wkb_polygon([np.array([[10, 0], [11, 0], [11, 1], [10, 0]], float)])
+    multi = struct.pack("<BII", 1, 6, 2) + normal + be   # second part crosses
+    ds = ray.data.from_arrow(pa.table({
+        "cell_id": pa.array([1, 2, 3], type=pa.int64()),
+        "geometry": pa.array([be, normal, multi], type=pa.binary())}))
+    out = post_process_split_dateline(ds).to_pandas()
+    assert out["cell_id"].tolist() == [1, 1, 2, 3]
+    for b in out["geometry"][:2]:
+        t, rings = parse_wkb(bytes(b))
+        assert np.abs(np.diff(rings[0][:, 0])).max() <= 180
+    assert out["geometry"].tolist()[2:] == [normal, multi]
+
+
 def test_flagship_checkpointed(ray_session, tmp_path):
     """Resumable streaming sink: partitions keyed on the input FILE index
     (deterministic lineage, not Ray block boundaries); a resume skips

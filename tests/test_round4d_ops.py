@@ -64,6 +64,34 @@ def test_group_shift_single_giant_group():
     assert np.allclose(out["lag"][2:], np.arange(n - 2, dtype=float))
 
 
+def test_bounded_frame_windows_reject_duplicate_keys(ray_session):
+    """Duplicate (group, order) keys make LAG order-dependent; they are
+    refused whether they sit inside one sorted block or across a seam."""
+    from dggrid4py_ray.stages.window import _tail_carry, group_shift
+
+    df = pd.DataFrame({"g": [1, 1, 1, 2], "o": [1, 1, 2, 1],
+                       "v": [1.0, 2.0, 3.0, 4.0]})
+    with pytest.raises(ValueError, match="unique"):
+        group_shift(ray.data.from_pandas(df), "g", ["o"], "v").to_pandas()
+
+    def blocks(*parts):      # already sorted blocks, as the sort leaves them
+        return ray.data.from_arrow([pa.table({"g": g, "o": o, "v": [0.0] * len(g)})
+                                    for g, o in parts])
+
+    # inside one block
+    with pytest.raises(ValueError, match="unique"):
+        _tail_carry(blocks(([1, 1], [1, 1]), ([1, 2], [3, 1])),
+                    ["g", "o"], "g", "v", k=1)
+    # across a seam: (1, 2) ends one block and starts the next
+    with pytest.raises(ValueError, match="unique"):
+        _tail_carry(blocks(([1, 1], [1, 2]), ([1, 2], [2, 1])),
+                    ["g", "o"], "g", "v", k=1)
+    # distinct keys at the seam pass, and the tail enters the next block
+    tails = ray.get(_tail_carry(blocks(([1, 1], [1, 2]), ([1, 2], [3, 1])),
+                                ["g", "o"], "g", "v", k=1))
+    assert len(tails[repr((1, 3))]) == 1
+
+
 def test_grouped_corr_matches_pandas():
     from dggrid4py_ray.stages.normalize import grouped_corr
 
